@@ -11,6 +11,7 @@ import os
 import sys
 
 from . import dl, powerop, reports
+from .arith import prime_factors
 from .fgl import FormalGroupLaw
 from .scalar import DEFAULT_PRECISION
 
@@ -18,19 +19,14 @@ MAX_PRIME = 13
 
 
 def _check_prime(p: int) -> int:
-    if p < 3 or p % 2 == 0 or p > MAX_PRIME:
+    if p < 3 or p > MAX_PRIME or prime_factors(p) != [p]:
         raise SystemExit(2)
-    for d in range(2, p):
-        if p % d == 0:
-            raise SystemExit(2)
     return p
 
 
 def _common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--p", type=int, required=True, help="odd prime (3..13)")
     sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION, help="p-adic digits K")
-    sp.add_argument("--xdeg", type=int, default=0, help="x/y truncation override")
-    sp.add_argument("--adeg", type=int, default=0, help="alpha truncation override")
     sp.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument("--expensive", action="store_true", help="run the costly exact paths")
@@ -109,8 +105,6 @@ def main(argv: list[str] | None = None) -> int:
                 p,
                 seed=seed,
                 precision=args.precision,
-                x_bound=args.xdeg,
-                alpha_bound=args.adeg,
                 expensive=args.expensive,
             )
         except (ValueError, ArithmeticError) as exc:
@@ -122,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         if not 2 <= args.i <= p:
             print("--i must lie in 2..p", file=sys.stderr)
             return 2
-        F = FormalGroupLaw.v3_truncated(p, args.precision, args.xdeg, args.adeg)
+        F = FormalGroupLaw.v3_truncated(p, args.precision)
         res = powerop.power_operation_value(F, args.i)
         if args.format == "json":
             print(

@@ -21,7 +21,10 @@ The Adem convention above is pinned by the five straightening identities in
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+
+from .arith import binary_power
 
 __all__ = [
     "DLAlgebra",
@@ -266,14 +269,7 @@ class DLPolynomial:
     __rmul__ = __mul__
 
     def pow(self, n: int) -> "DLPolynomial":
-        out = self.algebra.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, self.algebra.one(), operator.mul)
 
     def q(self, s: int) -> "DLPolynomial":
         return self.algebra.apply_q(s, self)

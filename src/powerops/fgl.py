@@ -1,5 +1,15 @@
 """Formal group laws presented by their logarithms over Z_p[v3]/(v3^2).
 
+Every logarithm here is v3-linear: log(x) = x + v3 * lambda(x), that is,
+each coefficient of x^n with n >= 2 is a pure multiple of v3.  Because
+v3^2 = 0, v3 * lambda(u) only sees the plain part u_0 of u, and the
+exponential has the exact closed form
+
+    exp(u) = u - v3 * lambda(u_0),
+
+so no series reversion is needed (the standard logarithm/exponential
+presentation, Hazewinkel, Formal Groups and Applications, 1978).
+
 The target law has logarithm x + (v3/p) x^(p^3) (a p-typical logarithm with a
 single correction term), so its p-series is
 
@@ -21,14 +31,15 @@ from .scalar import (
     TeichmullerRoot,
     primitive_teichmuller_root,
 )
-from .series import TruncatedSeries, lagrange_invert
+from .series import TruncatedSeries
 
 __all__ = ["Logarithm", "FormalGroupLaw"]
 
 
 @dataclass(frozen=True)
 class Logarithm:
-    """Coefficients m_n of x^n with m_1 = 1 (sparse; only nonzero entries)."""
+    """Coefficients m_n of x^n with m_1 = 1 and m_n a multiple of v3 for
+    n >= 2 (sparse; only nonzero entries)."""
 
     p: int
     prec: int
@@ -38,6 +49,9 @@ class Logarithm:
         one = CoeffV3.one(self.p, self.prec)
         if self.coeffs.get(1) != one:
             raise ValueError("a logarithm must have linear coefficient 1")
+        for n, c in self.coeffs.items():
+            if n >= 2 and not c.plain.is_zero():
+                raise ValueError(f"coefficient of x^{n} must be a multiple of v3")
 
     @classmethod
     def additive(cls, p: int, prec: int = DEFAULT_PRECISION) -> "Logarithm":
@@ -49,28 +63,24 @@ class Logarithm:
         v3_over_p = CoeffV3.from_v3(PAdicScalar(p, -1, 1, prec))
         return cls(p, prec, {1: CoeffV3.one(p, prec), p**3: v3_over_p})
 
+    def correction(self, f: TruncatedSeries) -> TruncatedSeries:
+        """sum_{n>=2} m_n f^n = log(f) - f, the v3 * lambda(f) term."""
+        out = TruncatedSeries.zero(f.p, f.vars, f.bounds)
+        for n in sorted(self.coeffs):
+            if n >= 2:
+                out = out + f.pow(n).scale(self.coeffs[n])
+        return out
+
     def series(self, f: TruncatedSeries) -> TruncatedSeries:
         """Apply the logarithm to a series with zero constant term."""
         if not f.constant_term().is_zero():
             raise ValueError("logarithm needs zero constant term")
-        out = TruncatedSeries.zero(f.p, f.vars, f.bounds)
-        for n in sorted(self.coeffs):
-            c = self.coeffs[n]
-            out = out + f.pow(n).scale(c)
-        return out
+        return f + self.correction(f)
 
     def inverse_series(self, var: str, vars: tuple[str, ...], bounds: tuple[int, ...]) -> TruncatedSeries:
-        """exp = log^(-1) as a series in `var` to the given bounds."""
-        ell = TruncatedSeries.from_terms(
-            self.p,
-            vars,
-            bounds,
-            {
-                tuple(n if v == var else 0 for v in vars): c
-                for n, c in self.coeffs.items()
-            },
-        )
-        return lagrange_invert(ell, var)
+        """exp = log^(-1), that is z - v3 * lambda(z) for z = `var`, to the given bounds."""
+        z = TruncatedSeries.variable(self.p, var, vars, bounds, self.prec)
+        return z - self.correction(z)
 
 
 @dataclass
@@ -114,53 +124,17 @@ class FormalGroupLaw:
         )
 
     @classmethod
-    def additive(
-        cls,
-        p: int,
-        prec: int = DEFAULT_PRECISION,
-        x_bound: int = 0,
-        alpha_bound: int = 0,
-    ) -> "FormalGroupLaw":
-        return cls(
-            p,
-            Logarithm.additive(p, prec),
-            primitive_teichmuller_root(p, prec),
-            prec,
-            x_bound,
-            alpha_bound,
-        )
+    def additive(cls, p: int, prec: int = DEFAULT_PRECISION) -> "FormalGroupLaw":
+        return cls(p, Logarithm.additive(p, prec), primitive_teichmuller_root(p, prec), prec)
 
     # -- helpers -------------------------------------------------------------
 
-    def _exp(self, vars: tuple[str, ...], bounds: tuple[int, ...]) -> TruncatedSeries:
-        """log^(-1) in an auxiliary variable wide enough for any substitution."""
-        key = ("exp", vars, bounds)
-        if key not in self._cache:
-            zbound = sum(bounds) - len(bounds) + 2
-            aux = self.log.inverse_series("_z", ("_z",), (zbound,))
-            self._cache[key] = (aux, zbound)
-        return self._cache[key]
-
     def exp_of(self, u: TruncatedSeries) -> TruncatedSeries:
-        """Evaluate log^(-1) on a series with zero constant term."""
-        aux, zbound = self._exp(u.vars, u.bounds)
-        # widen the auxiliary series onto u's variables, then substitute
-        lifted = TruncatedSeries.from_terms(
-            self.p,
-            ("_z",) + u.vars,
-            (zbound,) + u.bounds,
-            {(k,) + (0,) * len(u.vars): c for (k,), c in aux.terms.items()},
-        )
-        wide_u = TruncatedSeries.from_terms(
-            self.p,
-            ("_z",) + u.vars,
-            (zbound,) + u.bounds,
-            {(0,) + e: c for e, c in u.terms.items()},
-        )
-        result = lifted.substitute("_z", wide_u)
-        return TruncatedSeries.from_terms(
-            self.p, u.vars, u.bounds, {e[1:]: c for e, c in result.terms.items()}
-        )
+        """Evaluate log^(-1) on a series with zero constant term:
+        exp(u) = u - v3 * lambda(u_0), exact because v3^2 = 0."""
+        if not u.constant_term().is_zero():
+            raise ValueError("exponential needs zero constant term")
+        return u - self.log.correction(u.plain_part())
 
     def formal_sum(self, a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         """a +_F b = exp(log(a) + log(b)) for series with zero constant term."""
@@ -184,9 +158,7 @@ class FormalGroupLaw:
             y = TruncatedSeries.variable(self.p, "y", vars, bounds, self.prec)
             F = self.formal_sum(x, y)
             for exp, c in F.terms.items():
-                if (not c.plain.is_zero() and c.plain.valuation < 0) or (
-                    not c.v3part.is_zero() and c.v3part.valuation < 0
-                ):
+                if not (c.plain.is_integral() and c.v3part.is_integral()):
                     raise ArithmeticError(
                         f"non-integral coefficient at {exp}: wrong logarithm"
                     )

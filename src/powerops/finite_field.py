@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 
+from .arith import binary_power, prime_factors
+
 __all__ = ["GaloisField"]
 
 
@@ -36,14 +38,9 @@ def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[in
 
 def _poly_pow_x(n: int, mod: list[int], p: int) -> list[int]:
     """x^n modulo the given monic polynomial."""
-    result = [1] + [0] * (len(mod) - 2)
-    base = ([0, 1] + [0] * (len(mod) - 3))[: len(mod) - 1]
-    while n:
-        if n & 1:
-            result = _poly_mul_mod(result, base, mod, p)
-        base = _poly_mul_mod(base, base, mod, p)
-        n >>= 1
-    return result
+    one = [1] + [0] * (len(mod) - 2)
+    x = ([0, 1] + [0] * (len(mod) - 3))[: len(mod) - 1]
+    return binary_power(x, n, one, lambda a, b: _poly_mul_mod(a, b, mod, p))
 
 
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
@@ -75,17 +72,7 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     x = [0, 1] + [0] * (e - 2)
     if xq != x[:e]:
         return False
-    primes = set()
-    m = e
-    q = 2
-    while q * q <= m:
-        while m % q == 0:
-            primes.add(q)
-            m //= q
-        q += 1
-    if m > 1:
-        primes.add(m)
-    for q in primes:
+    for q in prime_factors(e):
         g = _poly_pow_x(p ** (e // q), f, p)
         diff = [(a - b) % p for a, b in zip(g, x[:e])]
         gcd = _poly_gcd(f, diff + [0], p)
@@ -134,15 +121,7 @@ class GaloisField:
 
     def _build_log_tables(self):
         n = self.size - 1
-        factors = set()
-        m, q = n, 2
-        while q * q <= m:
-            while m % q == 0:
-                factors.add(q)
-                m //= q
-            q += 1
-        if m > 1:
-            factors.add(m)
+        factors = prime_factors(n)
         g = None
         for cand in range(2, self.size):
             if all(self._pow_raw(cand, n // q) != 1 for q in factors):
@@ -159,13 +138,7 @@ class GaloisField:
             acc = self._raw_mul(acc, g)
 
     def _pow_raw(self, a: int, n: int) -> int:
-        out = 1
-        while n:
-            if n & 1:
-                out = self._raw_mul(out, a)
-            a = self._raw_mul(a, a)
-            n >>= 1
-        return out
+        return binary_power(a, n, 1, self._raw_mul)
 
     # -- public operations --------------------------------------------------
 

@@ -22,9 +22,11 @@ dual Steenrod algebra enter through N_(p^k - 1)(xi) = -(conjugate of xi_k).
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 
+from .arith import binary_power
 from .finite_field import GaloisField
 
 __all__ = [
@@ -120,14 +122,7 @@ class SymmetricClass:
     __rmul__ = __mul__
 
     def pow(self, n: int) -> "SymmetricClass":
-        out = SymmetricClass.one(self.p, self.context)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, SymmetricClass.one(self.p, self.context), operator.mul)
 
     def frobenius(self) -> "SymmetricClass":
         out = {}
@@ -188,14 +183,7 @@ def _poly_pow(a: GenPoly, n: int, p: int) -> GenPoly:
     while n and n % p == 0:
         a = {tuple((i, e * p) for i, e in mono): c for mono, c in a.items()}
         n //= p
-    out: GenPoly = {(): 1}
-    while n:
-        if n & 1:
-            out = _poly_mul(out, a, p)
-        if n > 1:
-            a = _poly_mul(a, a, p)
-        n >>= 1
-    return out
+    return binary_power(a, n, {(): 1}, lambda u, v: _poly_mul(u, v, p))
 
 
 def _insert_generator(mono: tuple[tuple[int, int], ...], idx: int) -> tuple[tuple[int, int], ...]:

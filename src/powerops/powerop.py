@@ -112,17 +112,13 @@ STAGE_FORMULAS = {
 }
 
 
-def g_series(
-    F: FormalGroupLaw, x_bound: int | None = None, alpha_bound: int | None = None
-) -> TruncatedSeries:
+def g_series(F: FormalGroupLaw, x_bound: int, alpha_bound: int) -> TruncatedSeries:
     """x * prod_i (x +_F [w^i](alpha)) in variables (x, alpha)."""
-    xb = x_bound or F.x_bound
-    ab = alpha_bound or F.alpha_bound
-    vars, bounds = ("x", "alpha"), (xb, ab)
+    vars, bounds = ("x", "alpha"), (x_bound, alpha_bound)
     x = TruncatedSeries.variable(F.p, "x", vars, bounds, F.prec)
     out = x
     for i in range(1, F.p):
-        w = F.scalar_series(F.omega.power(i), "alpha", ab)
+        w = F.scalar_series(F.omega.power(i), "alpha", alpha_bound)
         out = out * F.formal_sum(x, _lift(w, vars, bounds))
     return out
 
@@ -230,9 +226,7 @@ def h_polynomial(
         if acc.is_zero():
             continue
         q = CoeffV3(acc.plain / p_scalar, acc.v3part / p_scalar)
-        if (not q.plain.is_zero() and q.plain.valuation < 0) or (
-            not q.v3part.is_zero() and q.v3part.valuation < 0
-        ):
+        if not (q.plain.is_integral() and q.v3part.is_integral()):
             raise ArithmeticError(
                 f"congruence unsolvable: alpha^{j} coefficient is not divisible by p"
             )
@@ -271,20 +265,17 @@ def power_operation_value(
     n = i * (p - 1)
     x_bound = p**2
     alpha_bound = p**3 + i * (p - 1) ** 2 + 1 + alpha_headroom
-    work = FormalGroupLaw(
-        p, F.log, F.omega, F.prec, x_bound=x_bound, alpha_bound=alpha_bound
-    )
-    trace = run_pipeline(work, x_bound, alpha_bound)
+    trace = run_pipeline(F, x_bound, alpha_bound)
     f_n = f_coefficient(trace, n)
     # the p-th power of every positive-degree generator vanishes in the
     # coefficient ring, so the congruence target is 0
     cpn_pth = CoeffV3.zero(p)
-    h_n = h_polynomial(f_n, cpn_pth, work, n)
+    h_n = h_polynomial(f_n, cpn_pth, F, n)
     trace.f_n = f_n
     trace.h_n = h_n
     s = f_n - h_n * trace.angle_p
     shifted = divide_by_series_power(s, trace.chi, n)
-    normal = quotient_normalize(shifted, p**3)
+    normal = quotient_normalize(shifted)
     coeffs = {}
     for j in sorted(set(normal.plain) | set(normal.v3)):
         coeffs[j] = normal.coefficient(j)
@@ -314,11 +305,7 @@ def psi_coefficient_lift(
 
 
 def _is_integral(f: TruncatedSeries) -> bool:
-    return all(
-        (c.plain.is_zero() or c.plain.valuation >= 0)
-        and (c.v3part.is_zero() or c.v3part.valuation >= 0)
-        for c in f.terms.values()
-    )
+    return all(c.plain.is_integral() and c.v3part.is_integral() for c in f.terms.values())
 
 
 def _angle_quotient(f: TruncatedSeries, angle: TruncatedSeries) -> TruncatedSeries:
@@ -332,7 +319,7 @@ def _angle_quotient(f: TruncatedSeries, angle: TruncatedSeries) -> TruncatedSeri
     )
 
 
-def isogeny_derivative_check(F: FormalGroupLaw, m_max: int | None = None) -> bool:
+def isogeny_derivative_check(F: FormalGroupLaw) -> bool:
     """g'(x,a) * L'(g(x,a)) = chi * (log)'(x) + h(x,a) * <p>(a) with h
     integral, where L'(z) = 1 + sum_m (lifted coefficient)_m z^m.
 
@@ -340,13 +327,12 @@ def isogeny_derivative_check(F: FormalGroupLaw, m_max: int | None = None) -> boo
     total operation, checked as exact divisibility with integral quotient.
     """
     p = F.p
-    m_max = m_max or p + 2
+    m_max = p + 2
     # every m up to the x bound can contribute through g^m, so the bound
     # must not exceed m_max + 1 or the truncated tail would pollute the check
     xb = m_max + 1
     ab = p**3 + 2 * m_max * (p - 1) + 1
-    work = FormalGroupLaw(p, F.log, F.omega, F.prec, x_bound=xb, alpha_bound=ab)
-    trace = run_pipeline(work, xb, ab)
+    trace = run_pipeline(F, xb, ab)
     vars, bounds = trace.g.vars, trace.g.bounds
     gpad = trace.g.with_bounds(tuple(b + 1 if v == "x" else b for v, b in zip(vars, bounds)))
     dg = gpad.derivative("x")
@@ -354,7 +340,7 @@ def isogeny_derivative_check(F: FormalGroupLaw, m_max: int | None = None) -> boo
     g_pow = TruncatedSeries.one(p, vars, bounds, F.prec)
     for m in range(1, m_max + 1):
         g_pow = g_pow * trace.g
-        psi_m = psi_coefficient_lift(trace, work, m)
+        psi_m = psi_coefficient_lift(trace, F, m)
         if psi_m.is_zero():
             continue
         lifted_psi = lifted_psi + _lift(psi_m, vars, bounds) * g_pow
@@ -366,25 +352,22 @@ def isogeny_derivative_check(F: FormalGroupLaw, m_max: int | None = None) -> boo
     return _is_integral(quotient) and recomposed == (lhs - rhs)
 
 
-def isogeny_log_additivity_check(F: FormalGroupLaw, x_bound: int | None = None) -> bool:
+def isogeny_log_additivity_check(F: FormalGroupLaw) -> bool:
     """L(g(x +_F y)) - L(g(x)) - L(g(y)) is divisible by <p>(a) with an
     integral quotient, for L(z) = z + sum_m (lifted coefficient)_m z^(m+1)/(m+1).
 
     Applying L to the isogeny identity turns the twisted formal sum into an
     honest sum, so this checks the original two-variable identity."""
     p = F.p
-    xb = x_bound or p + 2
-    if xb <= p:
-        # the plain slot x^p of g must survive the lift; truncating it would
-        # pollute the difference with junk that is not divisible by <p>
-        raise ValueError("x_bound must exceed p")
+    # the plain slot x^p of g must survive the lift; truncating it would
+    # pollute the difference with junk that is not divisible by <p>
+    xb = p + 2
     m_max = 2 * (xb - 1)
     ab = p**3 + 2 * m_max * (p - 1) + 1
-    work = FormalGroupLaw(p, F.log, F.omega, F.prec, x_bound=m_max + 2, alpha_bound=ab)
-    trace = run_pipeline(work, m_max + 2, ab)
+    trace = run_pipeline(F, m_max + 2, ab)
     psi = {}
     for m in range(1, m_max + 1):
-        v = psi_coefficient_lift(trace, work, m)
+        v = psi_coefficient_lift(trace, F, m)
         if not v.is_zero():
             psi[m] = v
 

@@ -94,16 +94,10 @@ def _expected_value_string(p: int, i: int) -> str:
     return ("-" if signed < 0 else "") + f"{mag}v3 * alpha^{exp}"
 
 
-def suite_powerop(
-    p: int,
-    precision: int = DEFAULT_PRECISION,
-    x_bound: int | None = None,
-    alpha_bound: int | None = None,
-    **_: object,
-) -> SuiteReport:
+def suite_powerop(p: int, precision: int = DEFAULT_PRECISION, **_: object) -> SuiteReport:
     rep = SuiteReport("powerop", p)
     rec = _Recorder(rep, precision)
-    F = FormalGroupLaw.v3_truncated(p, precision, x_bound or 0, alpha_bound or 0)
+    F = FormalGroupLaw.v3_truncated(p, precision)
 
     t0 = time.perf_counter()
     chi = F.euler_class()
@@ -270,7 +264,7 @@ def suite_properties(p: int, precision: int = DEFAULT_PRECISION, seed: int = 0, 
     rec.add("teichmuller_root_of_unity", w.omega ** (p - 1) == one, "w^(p-1) = 1", "", t0)
 
     t0 = time.perf_counter()
-    F = FormalGroupLaw.v3_truncated(p, precision, x_bound=6, alpha_bound=p**3 + p)
+    F = FormalGroupLaw.v3_truncated(p, precision)
     vars3, bounds3 = ("x", "y", "z"), (5, 5, 5)
     x = TruncatedSeries.variable(p, "x", vars3, bounds3, precision)
     y = TruncatedSeries.variable(p, "y", vars3, bounds3, precision)
@@ -279,6 +273,19 @@ def suite_properties(p: int, precision: int = DEFAULT_PRECISION, seed: int = 0, 
     rhs = F.formal_sum(x, F.formal_sum(y, z))
     rec.add("fgl_associativity", lhs == rhs, "F(F(x,y),z) = F(x,F(y,z))", "", t0)
     rec.add("fgl_commutativity", F.formal_sum(x, y) == F.formal_sum(y, x), "F(x,y) = F(y,x)", "")
+
+    # the closed-form exponential against a generic reversion of the logarithm
+    t0 = time.perf_counter()
+    zb = p**3 + p
+    zv = TruncatedSeries.variable(p, "z", ("z",), (zb,), precision)
+    reverted = lagrange_invert(F.log.series(zv), "z")
+    rec.add(
+        "exp_equals_reversion_of_log",
+        F.exp_of(zv) == F.log.inverse_series("z", ("z",), (zb,)) == reverted,
+        "exp(z) = log^(-1)(z) by Lagrange inversion",
+        "",
+        t0,
+    )
 
     t0 = time.perf_counter()
     vars2, bounds2 = ("y", "alpha"), (10, 8)

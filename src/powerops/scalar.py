@@ -13,7 +13,10 @@ logarithm x + (v3/p) x^(p^3) and the binomial quotients C(ip,i)/p require.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+
+from .arith import binary_power, prime_factors
 
 __all__ = [
     "PAdicScalar",
@@ -24,31 +27,13 @@ __all__ = [
     "primitive_teichmuller_root",
     "reduce_mod_p",
     "binomial_scalar",
-    "set_precision_floor",
-    "get_precision_floor",
 ]
 
 DEFAULT_PRECISION = 8
 
-# Operations raise once the guaranteed number of significant digits of a
-# nonzero result falls below this floor.  One digit is enough for the mod-p
-# assertions downstream; raise the floor to harden golden-value runs.
-_PRECISION_FLOOR = 1
-
 
 class PrecisionLossError(ArithmeticError):
-    """Result precision fell below the configured floor."""
-
-
-def set_precision_floor(digits: int) -> None:
-    global _PRECISION_FLOOR
-    if digits < 1:
-        raise ValueError("precision floor must be >= 1")
-    _PRECISION_FLOOR = digits
-
-
-def get_precision_floor() -> int:
-    return _PRECISION_FLOOR
+    """A nonzero result kept no significant digit."""
 
 
 def _valuation_of_int(n: int, p: int) -> int:
@@ -100,10 +85,9 @@ class PAdicScalar:
     # -- arithmetic --------------------------------------------------------
 
     def _check_floor(self) -> "PAdicScalar":
-        if not self.is_zero_flag and self.prec < _PRECISION_FLOOR:
-            raise PrecisionLossError(
-                f"precision dropped to {self.prec} digits (floor {_PRECISION_FLOOR})"
-            )
+        # one digit is enough for the mod-p assertions downstream
+        if not self.is_zero_flag and self.prec < 1:
+            raise PrecisionLossError(f"precision dropped to {self.prec} digits (floor 1)")
         return self
 
     def __add__(self, other: "PAdicScalar") -> "PAdicScalar":
@@ -160,16 +144,8 @@ class PAdicScalar:
         return self * PAdicScalar.from_int(self.p, n, max(self.prec, 1))
 
     def __pow__(self, n: int) -> "PAdicScalar":
-        if n < 0:
-            raise ValueError("use division for negative powers")
-        out = PAdicScalar.from_int(self.p, 1, self.prec if not self.is_zero_flag else DEFAULT_PRECISION)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        one = PAdicScalar.from_int(self.p, 1, self.prec if not self.is_zero_flag else DEFAULT_PRECISION)
+        return binary_power(self, n, one, operator.mul)
 
     # -- comparison --------------------------------------------------------
 
@@ -262,16 +238,7 @@ def teichmuller(residue: int, p: int, prec: int = DEFAULT_PRECISION) -> Teichmul
 
 def _is_primitive_root(g: int, p: int) -> bool:
     n = p - 1
-    factors = set()
-    m, q = n, 2
-    while q * q <= m:
-        while m % q == 0:
-            factors.add(q)
-            m //= q
-        q += 1
-    if m > 1:
-        factors.add(m)
-    return all(pow(g, n // q, p) != 1 for q in factors)
+    return all(pow(g, n // q, p) != 1 for q in prime_factors(n))
 
 
 def primitive_teichmuller_root(p: int, prec: int = DEFAULT_PRECISION) -> TeichmullerRoot:

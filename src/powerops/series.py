@@ -12,9 +12,11 @@ ever run on plain series, which stay tiny in this pipeline.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .arith import binary_power
 from .scalar import CoeffV3, PAdicScalar
 
 __all__ = [
@@ -232,16 +234,8 @@ class TruncatedSeries:
         return TruncatedSeries(self.vars, self.bounds, out, self.p)
 
     def pow(self, n: int) -> "TruncatedSeries":
-        if n < 0:
-            raise ValueError("negative power")
-        result = TruncatedSeries.one(self.p, self.vars, self.bounds, _prec_of(self))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        one = TruncatedSeries.one(self.p, self.vars, self.bounds, _prec_of(self))
+        return binary_power(self, n, one, operator.mul)
 
     def shift(self, var: str, k: int) -> "TruncatedSeries":
         """Multiply by var^k (k may not be negative; see divide_by_alpha_power)."""
@@ -482,21 +476,13 @@ class QuotientNormalForm:
         return out
 
 
-def quotient_normalize(f: TruncatedSeries, law=None) -> QuotientNormalForm:
-    """Reduce an alpha-only series to its quotient normal form.
-
-    `law` may be the formal group law (its prime fixes the truncation
-    exponent p^3), the exponent itself, or omitted.  Raises on any
-    coefficient of negative valuation (the element would not be integral,
-    which signals an upstream error).
+def quotient_normalize(f: TruncatedSeries) -> QuotientNormalForm:
+    """Reduce an alpha-only series to its quotient normal form, truncated at
+    alpha^(p^3).  Raises on any coefficient of negative valuation (the
+    element would not be integral, which signals an upstream error).
     """
     p = f.p
-    if law is None:
-        p3 = p**3
-    elif isinstance(law, int):
-        p3 = law
-    else:
-        p3 = law.p**3
+    p3 = p**3
     ia = f.index("alpha")
     constant = CoeffV3.zero(p)
     plain: dict[int, int] = {}

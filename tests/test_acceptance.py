@@ -177,6 +177,7 @@ def test_criterion_9_property_suites_standalone():
     assert "newton_frobenius" in names
     assert "teichmuller_root_of_unity" in names
     assert "fgl_associativity" in names
+    assert "exp_equals_reversion_of_log" in names
     _report("criterion-9 (property suites runnable standalone; K=8 vs K=12 stable)")
 
 

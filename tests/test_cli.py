@@ -71,6 +71,13 @@ def test_bad_power_op_index_is_config_error():
     assert proc.returncode == 2
 
 
+def test_removed_truncation_flags_are_rejected():
+    # power_operation_value picks its own bounds, so no truncation flag exists
+    for flag in ("--xdeg", "--adeg"):
+        proc = run_cli(["compute", "power-op", "--p", "5", "--i", "2", flag, "3"])
+        assert proc.returncode == 2
+
+
 def test_malformed_env_seed_is_config_error():
     proc = run_cli(["verify", "--p", "3", "--suite", "congruences"],
                    env={"POWEROPS_SEED": "not-a-number"})

@@ -137,16 +137,42 @@ def test_logarithm_requires_unit_linear_term():
         Logarithm(3, K, {1: CoeffV3.from_int(3, 2, K)})
 
 
+def test_logarithm_requires_v3_linear_higher_terms():
+    # a coefficient of x^n (n >= 2) with a plain part is outside the
+    # v3-linear shape the closed-form exponential rests on
+    p = 3
+    with pytest.raises(ValueError):
+        Logarithm(p, K, {1: CoeffV3.one(p, K), 2: CoeffV3.from_plain(PAdicScalar.from_ratio(p, 1, p, K))})
+    mixed = CoeffV3(PAdicScalar.from_int(p, 1, K), PAdicScalar.from_int(p, 1, K))
+    with pytest.raises(ValueError):
+        Logarithm(p, K, {1: CoeffV3.one(p, K), p**3: mixed})
+
+
 def test_addition_series_flags_wrong_logarithm():
-    # a log with a bare 1/p coefficient is not a law over the integral ring
+    # log x = x + (v3/p) x^2 gives F = x + y - (2 v3/p) x y, which is not a
+    # law over the integral ring
     p = 3
     coeffs = {
         1: CoeffV3.one(p, K),
-        2: CoeffV3.from_plain(PAdicScalar.from_ratio(p, 1, p, K)),
+        2: CoeffV3.from_v3(PAdicScalar.from_ratio(p, 1, p, K)),
     }
     bad = FormalGroupLaw(p, Logarithm(p, K, coeffs), primitive_teichmuller_root(p, K), K)
     with pytest.raises(ArithmeticError):
         bad.addition_series(4, 4)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_exp_log_round_trip_with_v3_terms(p):
+    F = FormalGroupLaw.v3_truncated(p, K)
+    vars, bounds = ("x", "y"), (3, p**3 + 2)
+    x = TruncatedSeries.variable(p, "x", vars, bounds, K)
+    y = TruncatedSeries.variable(p, "y", vars, bounds, K)
+    v3_five = CoeffV3.from_v3(PAdicScalar.from_int(p, 5, K))
+    u = x + y.mul_int(2) + (y * y).mul_int(p + 1) + (x * y).times_v3() + y.pow(3).scale(v3_five)
+    exp_u = F.exp_of(u)
+    assert exp_u != u  # the correction reaches y^(p^3) inside the bounds
+    assert F.log.series(exp_u) == u
+    assert F.exp_of(F.log.series(u)) == u
 
 
 def test_log_composed_with_inverse_is_identity():
