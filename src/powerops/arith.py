@@ -1,11 +1,11 @@
-"""The two integer-arithmetic loops the package shares: square-and-multiply
-powering and the distinct prime factors of a small integer."""
+"""The loops the package shares: square-and-multiply powering, the distinct
+prime factors of a small integer and the product of two sparse monomials."""
 
 from __future__ import annotations
 
-from typing import Callable, TypeVar
+from typing import Callable, Hashable, TypeVar
 
-__all__ = ["binary_power", "prime_factors"]
+__all__ = ["binary_power", "prime_factors", "merge_monomials"]
 
 T = TypeVar("T")
 
@@ -43,3 +43,18 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def merge_monomials(
+    m1: tuple[tuple[Hashable, int], ...], m2: tuple[tuple[Hashable, int], ...]
+) -> tuple[tuple[Hashable, int], ...]:
+    """Product of two monomials stored as ((variable, exponent), ...) tuples
+    sorted by variable: exponents of a shared variable add."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    acc = dict(m1)
+    for v, e in m2:
+        acc[v] = acc.get(v, 0) + e
+    return tuple(sorted(acc.items()))

@@ -24,12 +24,21 @@ def _check_prime(p: int) -> int:
     return p
 
 
-def _common_flags(sp: argparse.ArgumentParser) -> None:
+def _precision(text: str) -> int:
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"precision must be at least 1, got {k}")
+    return k
+
+
+def _common_flags(sp: argparse.ArgumentParser, precision: bool = False, seed: bool = False) -> None:
+    """--p and --format everywhere; --precision and --seed only where read."""
     sp.add_argument("--p", type=int, required=True, help="odd prime (3..13)")
-    sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION, help="p-adic digits K")
-    sp.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
+    if precision:
+        sp.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION, help="p-adic digits K >= 1")
+    if seed:
+        sp.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--expensive", action="store_true", help="run the costly exact paths")
 
 
 def _resolve_seed(args) -> int:
@@ -50,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run verification suites")
-    _common_flags(v)
+    _common_flags(v, precision=True, seed=True)
     v.add_argument(
         "--suite",
         default="all",
@@ -61,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compute", help="compute a single value")
     csub = c.add_subparsers(dest="target", required=True)
     cp = csub.add_parser("power-op", help="normalized power-operation value")
-    _common_flags(cp)
+    _common_flags(cp, precision=True)
     cp.add_argument("--i", type=int, required=True, help="index in 2..p")
 
     s = sub.add_parser("solve", help="solve for relation coefficients")
@@ -91,22 +100,16 @@ def _emit_report(report: dict, fmt: str) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     p = _check_prime(args.p)
-    seed = _resolve_seed(args)
 
     if args.command == "verify":
+        seed = _resolve_seed(args)
         names = list(reports.SUITES) if args.suite == "all" else [args.suite]
         for n in names:
             if n not in reports.SUITES + reports.EXTRA_SUITES:
                 print(f"unknown suite {n!r}", file=sys.stderr)
                 return 2
         try:
-            report = reports.run_suites(
-                names,
-                p,
-                seed=seed,
-                precision=args.precision,
-                expensive=args.expensive,
-            )
+            report = reports.run_suites(names, p, seed=seed, precision=args.precision)
         except (ValueError, ArithmeticError) as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return 2

@@ -20,15 +20,17 @@ The Adem convention above is pinned by the five straightening identities in
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
 
-from .arith import binary_power
+from .arith import binary_power, merge_monomials
 
 __all__ = [
     "DLAlgebra",
     "DLPolynomial",
+    "free_algebra",
     "RelationSpec",
     "RelationReport",
     "SigmaSolution",
@@ -207,6 +209,16 @@ class DLAlgebra:
         return out
 
 
+@functools.cache
+def free_algebra(p: int) -> DLAlgebra:
+    """The free algebra on x in degree 2(p-1) and y in degree 4(p-1).
+
+    One instance per prime, shared by the relation, the sigma solve and the
+    factorization, so each reuses the Q caches the others have filled.
+    """
+    return DLAlgebra(p, {"x": 2 * (p - 1), "y": 4 * (p - 1)})
+
+
 def _comb(n: int, k: int) -> int:
     if k < 0 or n < 0 or k > n:
         return 0
@@ -262,7 +274,7 @@ class DLPolynomial:
         out: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _merge_monomials(m1, m2)
+                m = merge_monomials(m1, m2)
                 out[m] = out.get(m, 0) + c1 * c2
         return DLPolynomial(self.algebra, out)
 
@@ -310,17 +322,6 @@ def _monomial_order(m: Monomial):
     return tuple(((len(w), w, g), e) for (w, g), e in m)
 
 
-def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    acc: dict[Factor, int] = dict(m1)
-    for f, e in m2:
-        acc[f] = acc.get(f, 0) + e
-    return tuple(sorted(acc.items()))
-
-
 def _render_monomial(m: Monomial) -> str:
     if not m:
         return "1"
@@ -349,9 +350,8 @@ class RelationSpec:
     c: list[DLPolynomial]  # c[0] unused; c[1..p] as defined
 
     @classmethod
-    def for_prime(cls, p: int, algebra: DLAlgebra | None = None) -> "RelationSpec":
-        if algebra is None:
-            algebra = DLAlgebra(p, {"x": 2 * (p - 1)})
+    def for_prime(cls, p: int) -> "RelationSpec":
+        algebra = free_algebra(p)
         x = algebra.gen("x")
         xp1 = x.pow(p - 1)
         qpx = x.q(p)
@@ -475,7 +475,7 @@ class SigmaSolution:
         return self.residual.is_zero() and self.kernel_dimension == 0
 
 
-def solve_sigma(p: int, algebra: DLAlgebra | None = None) -> SigmaSolution:
+def solve_sigma(p: int) -> SigmaSolution:
     """Coefficients sigma_i with
 
         Q^(p^3+p) Q^(p^2-1) y = sum_i sigma_i Q^(p^3+p-(i+1)) Q^(p^2+i) y
@@ -483,7 +483,7 @@ def solve_sigma(p: int, algebra: DLAlgebra | None = None) -> SigmaSolution:
 
     on the degree-4(p-1) generator y, solved in the admissible basis and
     verified by substitution."""
-    A = algebra or DLAlgebra(p, {"y": 4 * (p - 1)})
+    A = free_algebra(p)
     y = A.gen("y")
     lhs = y.q(p * p - 1).q(p**3 + p)
     shift = y.q(p * p + p - 1).q(p**3)
@@ -556,7 +556,7 @@ def verify_factorization(p: int, sigmas: list[int] | None = None) -> Factorizati
     """
     if sigmas is None:
         sigmas = solve_sigma(p).sigmas
-    A = DLAlgebra(p, {"x": 2 * (p - 1), "y": 4 * (p - 1)})
+    A = free_algebra(p)
     x, y = A.gen("x"), A.gen("y")
     xp1 = x.pow(p - 1)
     qpx = x.q(p)

@@ -164,8 +164,5 @@ class GaloisField:
     def mul_int(self, a: int, c: int) -> int:
         return self._pack([(x * c) % self.p for x in self._digits[a]])
 
-    def sample_nonzero(self, rng: random.Random) -> int:
-        return rng.randrange(1, self.size)
-
     def sample(self, rng: random.Random) -> int:
         return rng.randrange(self.size)

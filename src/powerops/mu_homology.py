@@ -26,7 +26,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 
-from .arith import binary_power
+from .arith import binary_power, merge_monomials
 from .finite_field import GaloisField
 
 __all__ = [
@@ -115,7 +115,7 @@ class SymmetricClass:
         out: dict[NewtonMonomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _merge_newton(m1, m2, self.p)
+                m = merge_monomials(m1, m2)
                 out[m] = (out.get(m, 0) + c1 * c2) % self.p
         return SymmetricClass(self.p, self.context, out)
 
@@ -134,9 +134,9 @@ class SymmetricClass:
         """Half the topological degree (N_m carries weight m)."""
         return max((sum(m * e for m, e in mono) for mono in self.terms), default=0)
 
-    def expand(self, budget: int | None = None) -> GenPoly:
+    def expand(self) -> GenPoly:
         """Expansion as a polynomial in the generators (b_i or xi_k)."""
-        budget = budget or default_budget(self.p)
+        budget = default_budget(self.p)
         out: GenPoly = {}
         for mono, c in self.terms.items():
             poly = {(): c}
@@ -159,21 +159,11 @@ class SymmetricClass:
         return " + ".join(bits)
 
 
-def _merge_newton(m1: NewtonMonomial, m2: NewtonMonomial, p: int) -> NewtonMonomial:
-    acc: dict[int, int] = dict(m1)
-    for m, e in m2:
-        acc[m] = acc.get(m, 0) + e
-    return tuple(sorted(acc.items()))
-
-
 def _poly_mul(a: GenPoly, b: GenPoly, p: int) -> GenPoly:
     out: GenPoly = {}
     for g1, c1 in a.items():
         for g2, c2 in b.items():
-            acc = dict(g1)
-            for i, e in g2:
-                acc[i] = acc.get(i, 0) + e
-            key = tuple(sorted(acc.items()))
+            key = merge_monomials(g1, g2)
             out[key] = (out.get(key, 0) + c1 * c2) % p
     return {g: c for g, c in out.items() if c}
 
@@ -340,12 +330,7 @@ def q_on_product(s: int, factors, context: str, p: int) -> SymmetricClass:
 # ---------------------------------------------------------------------------
 
 
-def symmetric_evaluate(
-    cls: SymmetricClass,
-    sample: list[int],
-    fld: GaloisField,
-    budget: int | None = None,
-) -> int:
+def symmetric_evaluate(cls: SymmetricClass, sample: list[int], fld: GaloisField) -> int:
     """Evaluate at t_i = e_i(sample), under which N_m is the power sum
     sum_j sample_j^m (b-context) or the recursion value with only the
     t_(p^k-1) slots filled (xi-context).
@@ -519,20 +504,15 @@ def _apply_q_to_class(r: int, cls: SymmetricClass, p: int) -> SymmetricClass:
     return out
 
 
-def verify_mudl(
-    p: int,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-    expensive: bool = False,
-) -> PropositionReport:
+def verify_mudl(p: int, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> PropositionReport:
     """Six identities for N_(p-1) in the b-generators.
 
     Scalar-multiple identities (1, 2, 3, 5, 6) are decided by exact
     comparison of canonical Newton monomials (sound: power sums with index
     coprime to p are algebraically independent).  The product identity 4 is
-    expanded exactly at p = 3 (or with `expensive`); at p >= 5 it is checked
-    by randomized symmetric evaluation over F_(p^4), failure probability
-    below (degree / p^4)^samples < 2^-30 at the default parameters.
+    expanded exactly at p = 3; at p >= 5 it is checked by randomized
+    symmetric evaluation over F_(p^4), failure probability below
+    (degree / p^4)^samples < 2^-30 at the default parameters.
     """
     rep = PropositionReport(p, "b")
     half = (p + 1) // 2  # 1/2 mod p
@@ -554,7 +534,7 @@ def verify_mudl(
     rhs = SymmetricClass.newton(p, "b", n1).pow((p - 2) * p) * SymmetricClass.newton(
         p, "b", n2
     ).pow(p)
-    if p == 3 or expensive:
+    if p == 3:
         ok4 = _equal_exact(lhs, rhs)
         method4 = "exact-expansion"
     else:

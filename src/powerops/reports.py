@@ -32,7 +32,7 @@ EXTRA_SUITES = ("congruences", "properties")
 @dataclass
 class Check:
     name: str
-    status: str  # pass | fail | skipped
+    status: str  # pass | fail
     expected: str = ""
     actual: str = ""
     precision_digits: int | None = None
@@ -76,9 +76,6 @@ class _Recorder:
                 round(ms, 3),
             )
         )
-
-    def skip(self, name: str, reason: str):
-        self.report.checks.append(Check(name, "skipped", expected=reason))
 
 
 # ---------------------------------------------------------------------------
@@ -162,20 +159,18 @@ def suite_stdl(p: int, **_: object) -> SuiteReport:
     return rep
 
 
-def suite_mudl(p: int, seed: int = 0, expensive: bool = False, **_: object) -> SuiteReport:
+def suite_mudl(p: int, seed: int = 0, **_: object) -> SuiteReport:
     rep = SuiteReport("mudl", p)
     rec = _Recorder(rep)
     t0 = time.perf_counter()
-    result = mu_homology.verify_mudl(
-        p, samples=mu_homology.DEFAULT_SAMPLES, seed=seed, expensive=expensive and p <= 5
-    )
+    result = mu_homology.verify_mudl(p, samples=mu_homology.DEFAULT_SAMPLES, seed=seed)
     for c in result.checks:
         rec.add(c.name, c.passed, "0", c.method, t0)
         t0 = time.perf_counter()
     return rep
 
 
-def suite_relation(p: int, expensive: bool = False, **_: object) -> SuiteReport:
+def suite_relation(p: int, **_: object) -> SuiteReport:
     rep = SuiteReport("relation", p)
     rec = _Recorder(rep)
     threshold = dl.relation_en_threshold(p)
@@ -192,9 +187,6 @@ def suite_relation(p: int, expensive: bool = False, **_: object) -> SuiteReport:
         "defined_with_properties",
         dl.op_definedness(threshold, p**3 + p, 2 * (p - 1) * (p**2 + 1)),
     )
-    if p >= 7 and not expensive:
-        rec.skip("grand_relation", "p >= 7 runs with --expensive")
-        return rep
     t0 = time.perf_counter()
     result = dl.verify_relation(p)
     rec.add(

@@ -191,8 +191,12 @@ def test_criterion_10_definedness_threshold():
         assert op_definedness(threshold, s, d) == "defined_with_properties"
         assert op_definedness(threshold - 1, s, d) == "defined_unstable"
         assert op_definedness(threshold - 2, s, d) == "undefined"
-        rep = reports.suite_relation(p, expensive=False)
+        rep = reports.suite_relation(p)
         by_name = {c.name: c for c in rep.checks}
         assert by_name["en_threshold"].status == "pass"
         assert by_name["en_threshold"].actual == str(2 * (p**2 + 2))
+        # the relation itself runs at every prime, p = 7 included
+        assert by_name["grand_relation"].status == "pass"
+        assert sum(n.startswith("identity_") for n in by_name) == 5
+        assert all(c.status == "pass" for c in rep.checks)
     _report("criterion-10 (E_n threshold 2(p^2+2) reported; p=3,5,7)")

@@ -72,10 +72,25 @@ def test_bad_power_op_index_is_config_error():
 
 
 def test_removed_truncation_flags_are_rejected():
-    # power_operation_value picks its own bounds, so no truncation flag exists
-    for flag in ("--xdeg", "--adeg"):
-        proc = run_cli(["compute", "power-op", "--p", "5", "--i", "2", flag, "3"])
-        assert proc.returncode == 2
+    rejected = [
+        # power_operation_value picks its own bounds, so no truncation flag exists
+        ["compute", "power-op", "--p", "5", "--i", "2", "--xdeg", "3"],
+        ["compute", "power-op", "--p", "5", "--i", "2", "--adeg", "3"],
+        # every suite runs at every prime; there is no costly path to opt into
+        ["verify", "--p", "3", "--suite", "congruences", "--expensive"],
+        # a flag is registered only where it is read
+        ["compute", "power-op", "--p", "3", "--i", "2", "--seed", "1"],
+        ["solve", "sigma", "--p", "3", "--seed", "1"],
+        ["solve", "sigma", "--p", "3", "--precision", "8"],
+        # at least one p-adic digit
+        ["compute", "power-op", "--p", "5", "--i", "2", "--precision", "0"],
+        ["compute", "power-op", "--p", "5", "--i", "2", "--precision", "-1"],
+        ["verify", "--p", "3", "--suite", "congruences", "--precision", "-1"],
+    ]
+    for args in rejected:
+        proc = run_cli(args)
+        assert proc.returncode == 2, args
+        assert "Traceback" not in proc.stderr, args
 
 
 def test_malformed_env_seed_is_config_error():

@@ -4,6 +4,7 @@ import pytest
 from powerops.dl import (
     DLAlgebra,
     RelationSpec,
+    free_algebra,
     op_definedness,
     relation_en_threshold,
     solve_sigma,
@@ -97,9 +98,19 @@ def test_relation_and_identities(p):
     assert rep.en_threshold == 2 * (p * p + 2)
 
 
-def test_relation_p7_expensive():
+def test_relation_p7():
     rep = verify_relation(7)
     assert rep.passed
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_verifiers_share_one_free_algebra(p):
+    A = free_algebra(p)
+    assert A is free_algebra(p)
+    assert A.generators == {"x": 2 * (p - 1), "y": 4 * (p - 1)}
+    assert RelationSpec.for_prime(p).algebra is A
+    assert solve_sigma(p).residual.algebra is A
+    assert verify_factorization(p).residual.algebra is A
 
 
 @pytest.mark.parametrize("p", [3, 5])
