@@ -1,13 +1,30 @@
 """The loops the package shares: square-and-multiply powering, the distinct
-prime factors of a small integer and the product of two sparse monomials."""
+prime factors of a small integer, and sparse polynomials over F_p.
+
+A sparse polynomial is a ``{monomial: coefficient}`` dict.  A monomial is a
+tuple of ``(variable, exponent)`` pairs sorted by variable; the empty tuple
+is 1.  Every coefficient lies in 1..p-1: the functions below take operands
+in that form and return results in it, so no caller reduces again."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Hashable, TypeVar
 
-__all__ = ["binary_power", "prime_factors", "merge_monomials"]
+__all__ = [
+    "binary_power",
+    "prime_factors",
+    "merge_monomials",
+    "poly_add",
+    "poly_scale",
+    "poly_mul",
+    "frobenius",
+    "poly_pow",
+]
 
 T = TypeVar("T")
+Monomial = tuple[tuple[Hashable, int], ...]
+Poly = dict[Monomial, int]
 
 
 def binary_power(base: T, n: int, one: T, mul: Callable[[T, T], T]) -> T:
@@ -45,16 +62,67 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def merge_monomials(
-    m1: tuple[tuple[Hashable, int], ...], m2: tuple[tuple[Hashable, int], ...]
-) -> tuple[tuple[Hashable, int], ...]:
+def merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     """Product of two monomials stored as ((variable, exponent), ...) tuples
-    sorted by variable: exponents of a shared variable add."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    acc = dict(m1)
+    sorted by variable: exponents of a shared variable add.  Each variable of
+    the shorter monomial is placed into the longer one by bisection."""
+    if len(m1) < len(m2):
+        m1, m2 = m2, m1
     for v, e in m2:
-        acc[v] = acc.get(v, 0) + e
-    return tuple(sorted(acc.items()))
+        i = bisect_left(m1, (v,))
+        if i < len(m1) and m1[i][0] == v:
+            m1 = m1[:i] + ((v, m1[i][1] + e),) + m1[i + 1 :]
+        else:
+            m1 = m1[:i] + ((v, e),) + m1[i:]
+    return m1
+
+
+def poly_add(a: Poly, b: Poly, p: int, sign: int = 1) -> Poly:
+    """a + sign * b over F_p."""
+    out = dict(a)
+    for m, c in b.items():
+        c = (out.get(m, 0) + sign * c) % p
+        if c:
+            out[m] = c
+        else:
+            out.pop(m, None)
+    return out
+
+
+def poly_scale(a: Poly, c: int, p: int) -> Poly:
+    """c * a over F_p; no coefficient vanishes unless p divides c."""
+    c %= p
+    if not c:
+        return {}
+    return {m: v * c % p for m, v in a.items()}
+
+
+def poly_mul(a: Poly, b: Poly, p: int) -> Poly:
+    """a * b over F_p, one monomial product per pair of terms."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        # monomials cancel, so a one-term factor sends distinct terms to
+        # distinct terms: nothing to collect
+        ((m2, c2),) = b.items()
+        return {merge_monomials(m1, m2): c1 * c2 % p for m1, c1 in a.items()}
+    out: Poly = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = merge_monomials(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: r for m, c in out.items() if (r := c % p)}
+
+
+def frobenius(a: Poly, q: int) -> Poly:
+    """a^q for q a power of p: exponents scale by q and F_p coefficients are
+    fixed, since the q-th power map is additive in characteristic p."""
+    return {tuple((v, e * q) for v, e in m): c for m, c in a.items()}
+
+
+def poly_pow(a: Poly, n: int, p: int) -> Poly:
+    """a^n over F_p, each factor p of n taken by the Frobenius."""
+    while n and n % p == 0:
+        a = frobenius(a, p)
+        n //= p
+    return binary_power(a, n, {(): 1}, lambda u, v: poly_mul(u, v, p))

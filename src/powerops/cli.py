@@ -20,6 +20,7 @@ MAX_PRIME = 13
 
 def _check_prime(p: int) -> int:
     if p < 3 or p > MAX_PRIME or prime_factors(p) != [p]:
+        print(f"--p must be an odd prime in 3..{MAX_PRIME}, got {p}", file=sys.stderr)
         raise SystemExit(2)
     return p
 
@@ -35,7 +36,7 @@ def _common_flags(sp: argparse.ArgumentParser, precision: bool = False, seed: bo
     """--p and --format everywhere; --precision and --seed only where read."""
     sp.add_argument("--p", type=int, required=True, help="odd prime (3..13)")
     if precision:
-        sp.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION, help="p-adic digits K >= 1")
+        sp.add_argument("--precision", type=_precision, help=f"p-adic digits K >= 1 (default {DEFAULT_PRECISION})")
     if seed:
         sp.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
     sp.add_argument("--format", choices=("text", "json"), default="text")
@@ -108,8 +109,11 @@ def main(argv: list[str] | None = None) -> int:
             if n not in reports.SUITES + reports.EXTRA_SUITES:
                 print(f"unknown suite {n!r}", file=sys.stderr)
                 return 2
+        if args.precision is not None and not any("precision" in reports.suite_options(n) for n in names):
+            print(f"--precision is not read by suite {args.suite!r}", file=sys.stderr)
+            return 2
         try:
-            report = reports.run_suites(names, p, seed=seed, precision=args.precision)
+            report = reports.run_suites(names, p, seed=seed, precision=args.precision or DEFAULT_PRECISION)
         except (ValueError, ArithmeticError) as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return 2
@@ -119,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
         if not 2 <= args.i <= p:
             print("--i must lie in 2..p", file=sys.stderr)
             return 2
-        F = FormalGroupLaw.v3_truncated(p, args.precision)
+        F = FormalGroupLaw.v3_truncated(p, args.precision or DEFAULT_PRECISION)
         res = powerop.power_operation_value(F, args.i)
         if args.format == "json":
             print(

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
-from .arith import binary_power, merge_monomials
+from .arith import frobenius, poly_add, poly_mul, poly_pow, poly_scale
 
 __all__ = [
     "DLAlgebra",
@@ -91,14 +90,6 @@ class DLAlgebra:
         for mono, coeff in poly.terms.items():
             out = out + self._q_monomial(s, mono) * coeff
         return out
-
-    def frobenius(self, poly: "DLPolynomial", i: int = 1) -> "DLPolynomial":
-        """p^i-th power, which is additive and fixes F_p coefficients."""
-        q = self.p**i
-        return DLPolynomial(
-            self,
-            {tuple((f, e * q) for f, e in mono): c for mono, c in poly.terms.items()},
-        )
 
     def adem_normalize(self, word: tuple[int, ...], generator: str) -> "DLPolynomial":
         """Admissible-basis expansion of Q^{word} applied to a generator.
@@ -198,7 +189,7 @@ class DLAlgebra:
                 a_max = room // p**i - (d - 1) * half
                 base = self._total_q_factor(factor, a_max)
                 comp: dict[int, DLPolynomial] = {
-                    a * p**i: self.frobenius(q, i) for a, q in base.items()
+                    a * p**i: q.frob(i) for a, q in base.items()
                 }
                 block = comp
                 for _ in range(d - 1):
@@ -245,49 +236,47 @@ def _convolve(
 
 
 class DLPolynomial:
-    """F_p-linear combination of commutative monomials in admissible words."""
+    """F_p-linear combination of commutative monomials in admissible words.
+
+    ``terms`` is an ``arith`` sparse polynomial: every coefficient lies in
+    1..p-1.  The constructor trusts that; the operations keep it.
+    """
 
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra: DLAlgebra, terms: dict[Monomial, int]):
         self.algebra = algebra
-        self.terms = {m: c % algebra.p for m, c in terms.items() if c % algebra.p}
+        self.terms = terms
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __add__(self, other: "DLPolynomial") -> "DLPolynomial":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return DLPolynomial(self.algebra, out)
+        return DLPolynomial(self.algebra, poly_add(self.terms, other.terms, self.algebra.p))
 
     def __neg__(self) -> "DLPolynomial":
-        return DLPolynomial(self.algebra, {m: -c for m, c in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other: "DLPolynomial") -> "DLPolynomial":
-        return self + (-other)
+        return DLPolynomial(self.algebra, poly_add(self.terms, other.terms, self.algebra.p, -1))
 
     def __mul__(self, other) -> "DLPolynomial":
+        p = self.algebra.p
         if isinstance(other, int):
-            return DLPolynomial(self.algebra, {m: c * other for m, c in self.terms.items()})
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = merge_monomials(m1, m2)
-                out[m] = out.get(m, 0) + c1 * c2
-        return DLPolynomial(self.algebra, out)
+            return DLPolynomial(self.algebra, poly_scale(self.terms, other, p))
+        return DLPolynomial(self.algebra, poly_mul(self.terms, other.terms, p))
 
     __rmul__ = __mul__
 
     def pow(self, n: int) -> "DLPolynomial":
-        return binary_power(self, n, self.algebra.one(), operator.mul)
+        return DLPolynomial(self.algebra, poly_pow(self.terms, n, self.algebra.p))
 
     def q(self, s: int) -> "DLPolynomial":
         return self.algebra.apply_q(s, self)
 
     def frob(self, i: int = 1) -> "DLPolynomial":
-        return self.algebra.frobenius(self, i)
+        """p^i-th power."""
+        return DLPolynomial(self.algebra, frobenius(self.terms, self.algebra.p**i))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DLPolynomial):

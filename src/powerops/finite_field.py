@@ -146,9 +146,6 @@ class GaloisField:
         da, db = self._digits[a], self._digits[b]
         return self._pack([(x + y) % self.p for x, y in zip(da, db)])
 
-    def neg(self, a: int) -> int:
-        return self._pack([(-x) % self.p for x in self._digits[a]])
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0

@@ -22,11 +22,10 @@ dual Steenrod algebra enter through N_(p^k - 1)(xi) = -(conjugate of xi_k).
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass, field
 
-from .arith import binary_power, merge_monomials
+from .arith import frobenius, poly_add, poly_mul, poly_pow, poly_scale
 from .finite_field import GaloisField
 
 __all__ = [
@@ -65,7 +64,11 @@ def _canonical_newton(m: int, e: int, p: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class SymmetricClass:
-    """F_p-linear combination of products of Newton classes."""
+    """F_p-linear combination of products of Newton classes.
+
+    ``terms`` is an ``arith`` sparse polynomial: every coefficient lies in
+    1..p-1.  The constructor trusts that; the operations keep it.
+    """
 
     p: int
     context: str  # "b" or "xi"
@@ -86,49 +89,30 @@ class SymmetricClass:
         key = (_canonical_newton(m, 1, p),)
         return cls(p, context, {key: coeff % p} if coeff % p else {})
 
-    def __post_init__(self):
-        clean = {}
-        for mono, c in self.terms.items():
-            c %= self.p
-            if c:
-                clean[mono] = c
-        object.__setattr__(self, "terms", clean)
-
     def is_zero(self) -> bool:
         return not self.terms
 
     def __add__(self, other: "SymmetricClass") -> "SymmetricClass":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = (out.get(m, 0) + c) % self.p
-        return SymmetricClass(self.p, self.context, out)
+        return SymmetricClass(self.p, self.context, poly_add(self.terms, other.terms, self.p))
 
     def __neg__(self) -> "SymmetricClass":
-        return SymmetricClass(self.p, self.context, {m: -c for m, c in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other: "SymmetricClass") -> "SymmetricClass":
-        return self + (-other)
+        return SymmetricClass(self.p, self.context, poly_add(self.terms, other.terms, self.p, -1))
 
     def __mul__(self, other) -> "SymmetricClass":
         if isinstance(other, int):
-            return SymmetricClass(self.p, self.context, {m: c * other for m, c in self.terms.items()})
-        out: dict[NewtonMonomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = merge_monomials(m1, m2)
-                out[m] = (out.get(m, 0) + c1 * c2) % self.p
-        return SymmetricClass(self.p, self.context, out)
+            return SymmetricClass(self.p, self.context, poly_scale(self.terms, other, self.p))
+        return SymmetricClass(self.p, self.context, poly_mul(self.terms, other.terms, self.p))
 
     __rmul__ = __mul__
 
     def pow(self, n: int) -> "SymmetricClass":
-        return binary_power(self, n, SymmetricClass.one(self.p, self.context), operator.mul)
+        return SymmetricClass(self.p, self.context, poly_pow(self.terms, n, self.p))
 
     def frobenius(self) -> "SymmetricClass":
-        out = {}
-        for mono, c in self.terms.items():
-            out[tuple((m, e * self.p) for m, e in mono)] = c
-        return SymmetricClass(self.p, self.context, out)
+        return SymmetricClass(self.p, self.context, frobenius(self.terms, self.p))
 
     def weighted_degree(self) -> int:
         """Half the topological degree (N_m carries weight m)."""
@@ -136,17 +120,17 @@ class SymmetricClass:
 
     def expand(self) -> GenPoly:
         """Expansion as a polynomial in the generators (b_i or xi_k)."""
-        budget = default_budget(self.p)
+        p = self.p
+        budget = default_budget(p)
         out: GenPoly = {}
         for mono, c in self.terms.items():
             poly = {(): c}
             for m, e in mono:
                 if m > budget:
                     raise ValueError(f"Newton index {m} exceeds budget {budget}")
-                poly = _poly_mul(poly, _poly_pow(newton_expand(m, self.context, self.p), e, self.p), self.p)
-            for g, v in poly.items():
-                out[g] = (out.get(g, 0) + v) % self.p
-        return {g: v for g, v in out.items() if v}
+                poly = poly_mul(poly, poly_pow(newton_expand(m, self.context, p), e, p), p)
+            out = poly_add(out, poly, p)
+        return out
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -157,33 +141,6 @@ class SymmetricClass:
             body = "*".join(f"N_{m}^{e}" if e > 1 else f"N_{m}" for m, e in mono) or "1"
             bits.append(f"{c}*{body}" if c != 1 or not mono else body)
         return " + ".join(bits)
-
-
-def _poly_mul(a: GenPoly, b: GenPoly, p: int) -> GenPoly:
-    out: GenPoly = {}
-    for g1, c1 in a.items():
-        for g2, c2 in b.items():
-            key = merge_monomials(g1, g2)
-            out[key] = (out.get(key, 0) + c1 * c2) % p
-    return {g: c for g, c in out.items() if c}
-
-
-def _poly_pow(a: GenPoly, n: int, p: int) -> GenPoly:
-    # peel p-th powers through the Frobenius: f^p has exponents scaled by p
-    while n and n % p == 0:
-        a = {tuple((i, e * p) for i, e in mono): c for mono, c in a.items()}
-        n //= p
-    return binary_power(a, n, {(): 1}, lambda u, v: _poly_mul(u, v, p))
-
-
-def _insert_generator(mono: tuple[tuple[int, int], ...], idx: int) -> tuple[tuple[int, int], ...]:
-    """Multiply a sorted generator monomial by one generator, in place."""
-    for pos, (i, e) in enumerate(mono):
-        if i == idx:
-            return mono[:pos] + ((i, e + 1),) + mono[pos + 1 :]
-        if i > idx:
-            return mono[:pos] + ((idx, 1),) + mono[pos:]
-    return mono + ((idx, 1),)
 
 
 _NEWTON_CACHE: dict[tuple[int, str, int], GenPoly] = {}
@@ -204,7 +161,7 @@ def newton_expand(m: int, context: str, p: int) -> GenPoly:
     if cached is not None:
         return cached
     if m % p == 0:
-        out = _poly_pow(newton_expand(m // p, context, p), p, p)
+        out = poly_pow(newton_expand(m // p, context, p), p, p)
     else:
         if context == "b":
             supports = list(range(1, m + 1))
@@ -215,20 +172,12 @@ def newton_expand(m: int, context: str, p: int) -> GenPoly:
                 supports.append(q - 1)
                 q *= p
         out = {}
-        for j in supports:
+        # smallest terms first, so the running sum stays small while it is copied
+        for j in reversed(supports):
             sign = 1 if (j - 1) % 2 == 0 else -1
             gen_index = j if context == "b" else supports.index(j) + 1
-            gen = ((gen_index, 1),)
-            if j == m:
-                c = sign * m % p
-                if c:
-                    out[gen] = (out.get(gen, 0) + c) % p
-                continue
-            sub = newton_expand(m - j, context, p)
-            for g, c in sub.items():
-                key2 = _insert_generator(g, gen_index)
-                out[key2] = (out.get(key2, 0) + sign * c) % p
-        out = {g: c for g, c in out.items() if c}
+            rest = {(): m % p} if j == m else newton_expand(m - j, context, p)
+            out = poly_add(out, poly_mul(rest, {((gen_index, 1),): 1}, p), p, sign)
     _NEWTON_CACHE[key] = out
     return out
 

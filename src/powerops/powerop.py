@@ -245,9 +245,6 @@ class PowerOpResult:
     c: dict[int, CoeffV3]
     trace: PipelineTrace
 
-    def coefficient(self, j: int) -> CoeffV3:
-        return self.value.coefficient(j)
-
 
 def power_operation_value(
     F: FormalGroupLaw, i: int, alpha_headroom: int = 0

@@ -7,11 +7,13 @@ the elapsed-time fields.
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from dataclasses import dataclass, field, asdict
 
 from . import dl, mu_homology, powerop
+from .arith import binary_power, poly_mul
 from .fgl import FormalGroupLaw
 from .scalar import (
     DEFAULT_PRECISION,
@@ -21,7 +23,7 @@ from .scalar import (
 )
 from .series import TruncatedSeries, lagrange_invert, quotient_normalize
 
-__all__ = ["Check", "SuiteReport", "run_suite", "run_suites", "SUITES", "REPORT_VERSION"]
+__all__ = ["Check", "SuiteReport", "run_suite", "run_suites", "suite_options", "SUITES", "REPORT_VERSION"]
 
 REPORT_VERSION = "1"
 
@@ -91,7 +93,7 @@ def _expected_value_string(p: int, i: int) -> str:
     return ("-" if signed < 0 else "") + f"{mag}v3 * alpha^{exp}"
 
 
-def suite_powerop(p: int, precision: int = DEFAULT_PRECISION, **_: object) -> SuiteReport:
+def suite_powerop(p: int, precision: int = DEFAULT_PRECISION) -> SuiteReport:
     rep = SuiteReport("powerop", p)
     rec = _Recorder(rep, precision)
     F = FormalGroupLaw.v3_truncated(p, precision)
@@ -148,7 +150,7 @@ def _series_str(f: TruncatedSeries, limit: int = 4) -> str:
     return " + ".join(bits) + ("" if len(f.terms) <= limit else " + ...")
 
 
-def suite_stdl(p: int, **_: object) -> SuiteReport:
+def suite_stdl(p: int) -> SuiteReport:
     rep = SuiteReport("stdl", p)
     rec = _Recorder(rep)
     t0 = time.perf_counter()
@@ -159,7 +161,7 @@ def suite_stdl(p: int, **_: object) -> SuiteReport:
     return rep
 
 
-def suite_mudl(p: int, seed: int = 0, **_: object) -> SuiteReport:
+def suite_mudl(p: int, seed: int = 0) -> SuiteReport:
     rep = SuiteReport("mudl", p)
     rec = _Recorder(rep)
     t0 = time.perf_counter()
@@ -170,7 +172,7 @@ def suite_mudl(p: int, seed: int = 0, **_: object) -> SuiteReport:
     return rep
 
 
-def suite_relation(p: int, **_: object) -> SuiteReport:
+def suite_relation(p: int) -> SuiteReport:
     rep = SuiteReport("relation", p)
     rec = _Recorder(rep)
     threshold = dl.relation_en_threshold(p)
@@ -201,7 +203,7 @@ def suite_relation(p: int, **_: object) -> SuiteReport:
     return rep
 
 
-def suite_sigma(p: int, **_: object) -> SuiteReport:
+def suite_sigma(p: int) -> SuiteReport:
     rep = SuiteReport("sigma", p)
     rec = _Recorder(rep)
     t0 = time.perf_counter()
@@ -217,7 +219,7 @@ def suite_sigma(p: int, **_: object) -> SuiteReport:
     return rep
 
 
-def suite_factorization(p: int, **_: object) -> SuiteReport:
+def suite_factorization(p: int) -> SuiteReport:
     rep = SuiteReport("factorization", p)
     rec = _Recorder(rep)
     t0 = time.perf_counter()
@@ -232,7 +234,7 @@ def suite_factorization(p: int, **_: object) -> SuiteReport:
     return rep
 
 
-def suite_congruences(p: int, **_: object) -> SuiteReport:
+def suite_congruences(p: int) -> SuiteReport:
     rep = SuiteReport("congruences", p)
     rec = _Recorder(rep)
     v1 = (math.comb(2 * p, 2) // p) % p
@@ -242,7 +244,7 @@ def suite_congruences(p: int, **_: object) -> SuiteReport:
     return rep
 
 
-def suite_properties(p: int, precision: int = DEFAULT_PRECISION, seed: int = 0, **_: object) -> SuiteReport:
+def suite_properties(p: int, precision: int = DEFAULT_PRECISION, seed: int = 0) -> SuiteReport:
     """Standalone property checks: algebra axioms, round trips, stability."""
     import random
 
@@ -325,11 +327,12 @@ def suite_properties(p: int, precision: int = DEFAULT_PRECISION, seed: int = 0, 
     )
 
     t0 = time.perf_counter()
-    m = rng.randrange(2, 8)
+    # N_m^(p-1), the largest product below, has weight (p-1)m; past 42 it
+    # grows fast (33 s at p = 11, m = 7), so the cap bites only at p >= 11
+    m = min(rng.randrange(2, 8), 42 // (p - 1))
     lhs = mu_homology.newton_expand(p * m, "b", p)
-    from .mu_homology import _poly_pow
-
-    rhs = _poly_pow(mu_homology.newton_expand(m, "b", p), p, p)
+    # plain repeated multiplication, not the Frobenius shortcut newton_expand takes
+    rhs = binary_power(mu_homology.newton_expand(m, "b", p), p, {(): 1}, lambda u, v: poly_mul(u, v, p))
     rec.add("newton_frobenius", lhs == rhs, "N_(pm) = N_m^p", f"m={m}", t0)
 
     t0 = time.perf_counter()
@@ -367,14 +370,22 @@ _RUNNERS = {
 }
 
 
+def suite_options(name: str) -> set[str]:
+    """The keyword options a suite reads, such as ``precision`` or ``seed``."""
+    return set(inspect.signature(_RUNNERS[name]).parameters) - {"p"}
+
+
 def run_suite(name: str, p: int, **options) -> SuiteReport:
+    """Run one suite; an option the suite does not read is a TypeError."""
     if name not in _RUNNERS:
         raise KeyError(f"unknown suite {name!r}")
     return _RUNNERS[name](p, **options)
 
 
-def run_suites(names: list[str], p: int, seed: int = 0, **options) -> dict:
-    suites = [run_suite(n, p, seed=seed, **options) for n in names]
+def run_suites(names: list[str], p: int, seed: int = 0, precision: int = DEFAULT_PRECISION) -> dict:
+    """Run several suites, each given the options it reads."""
+    given = {"seed": seed, "precision": precision}
+    suites = [run_suite(n, p, **{k: v for k, v in given.items() if k in suite_options(n)}) for n in names]
     return {
         "version": REPORT_VERSION,
         "seed": seed,

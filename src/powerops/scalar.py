@@ -176,15 +176,6 @@ class PAdicScalar:
             return 0
         return self.unit % self.p
 
-    def lift(self, digits: int | None = None) -> int:
-        """Integer representative of p^val * unit mod p^(val+digits), val >= 0."""
-        if self.is_zero_flag:
-            return 0
-        if self.valuation < 0:
-            raise ValueError("negative valuation")
-        d = self.prec if digits is None else min(digits, self.prec)
-        return (self.p**self.valuation * self.unit) % self.p ** (self.valuation + d)
-
     def __repr__(self) -> str:
         if self.is_zero_flag:
             return "0"
@@ -307,9 +298,6 @@ class CoeffV3:
             self.plain * other.plain,
             self.plain * other.v3part + self.v3part * other.plain,
         )
-
-    def scale(self, a: PAdicScalar) -> "CoeffV3":
-        return CoeffV3(self.plain * a, self.v3part * a)
 
     def mul_int(self, n: int) -> "CoeffV3":
         return CoeffV3(self.plain.mul_int(n), self.v3part.mul_int(n))

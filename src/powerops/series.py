@@ -234,18 +234,8 @@ class TruncatedSeries:
         return TruncatedSeries(self.vars, self.bounds, out, self.p)
 
     def pow(self, n: int) -> "TruncatedSeries":
-        one = TruncatedSeries.one(self.p, self.vars, self.bounds, _prec_of(self))
+        one = TruncatedSeries.one(self.p, self.vars, self.bounds, series_precision(self))
         return binary_power(self, n, one, operator.mul)
-
-    def shift(self, var: str, k: int) -> "TruncatedSeries":
-        """Multiply by var^k (k may not be negative; see divide_by_alpha_power)."""
-        i = self.index(var)
-        out = {}
-        for exp, c in self.terms.items():
-            e = exp[:i] + (exp[i] + k,) + exp[i + 1 :]
-            if e[i] < self.bounds[i]:
-                out[e] = c
-        return TruncatedSeries(self.vars, self.bounds, out, self.p)
 
     # -- calculus ----------------------------------------------------------
 
@@ -312,16 +302,13 @@ def series_precision(f: TruncatedSeries) -> int:
     return DEFAULT_PRECISION
 
 
-_prec_of = series_precision
-
-
 def _substitute_plain(f: TruncatedSeries, var: str, g: TruncatedSeries) -> TruncatedSeries:
     """f(var := g) for plain series, by a power ladder over the sparse slots."""
     slots = f.slots(var)
     out = TruncatedSeries.zero(f.p, g.vars, g.bounds)
     if not slots:
         return out
-    prec = max(_prec_of(f), _prec_of(g))
+    prec = max(series_precision(f), series_precision(g))
     power = TruncatedSeries.one(f.p, g.vars, g.bounds, prec)
     prev = 0
     for k in sorted(slots):
@@ -333,7 +320,7 @@ def _substitute_plain(f: TruncatedSeries, var: str, g: TruncatedSeries) -> Trunc
 
 def _inverse_plain(f: TruncatedSeries) -> TruncatedSeries:
     c0 = f.constant_term().plain
-    prec = _prec_of(f)
+    prec = series_precision(f)
     one = TruncatedSeries.one(f.p, f.vars, f.bounds, prec)
     v = TruncatedSeries.constant(
         f.p, CoeffV3.from_plain(PAdicScalar.from_int(f.p, 1, prec) / c0), f.vars, f.bounds
@@ -362,7 +349,7 @@ def lagrange_invert(k: TruncatedSeries, var: str = "y") -> TruncatedSeries:
     c1 = k.terms.get(lin, CoeffV3.zero(k.p))
     if not (c1.v3part.is_zero() and c1.plain == PAdicScalar.from_int(k.p, 1, max(c1.plain.prec, 1))):
         raise ValueError("reversion requires linear coefficient 1")
-    prec = _prec_of(k)
+    prec = series_precision(k)
     # headroom so that the derivative below does not lose the top slot
     padded = tuple(b + 1 if j == i else b for j, b in enumerate(k.bounds))
     kp = k.with_bounds(padded)

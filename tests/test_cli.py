@@ -59,6 +59,7 @@ def test_bad_prime_is_config_error():
     for bad in ("4", "2", "17", "9"):
         proc = run_cli(["verify", "--p", bad, "--suite", "powerop"])
         assert proc.returncode == 2
+        assert "--p" in proc.stderr and bad in proc.stderr
 
 
 def test_unknown_suite_is_config_error():
@@ -86,11 +87,18 @@ def test_removed_truncation_flags_are_rejected():
         ["compute", "power-op", "--p", "5", "--i", "2", "--precision", "0"],
         ["compute", "power-op", "--p", "5", "--i", "2", "--precision", "-1"],
         ["verify", "--p", "3", "--suite", "congruences", "--precision", "-1"],
+        # no selected suite reads the precision
+        ["verify", "--p", "3", "--suite", "relation", "--precision", "3"],
     ]
     for args in rejected:
         proc = run_cli(args)
         assert proc.returncode == 2, args
         assert "Traceback" not in proc.stderr, args
+    # a runner takes only the options it reads
+    with pytest.raises(TypeError):
+        reports.run_suite("relation", 3, precision=3)
+    with pytest.raises(TypeError):
+        reports.run_suite("powerop", 3, precison=3)
 
 
 def test_malformed_env_seed_is_config_error():
