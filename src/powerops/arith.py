@@ -1,5 +1,6 @@
 """The loops the package shares: square-and-multiply powering, the distinct
-prime factors of a small integer, and sparse polynomials over F_p.
+prime factors of a small integer, sparse polynomials over F_p, and the
+Cartan formula for power operations on a product.
 
 A sparse polynomial is a ``{monomial: coefficient}`` dict.  A monomial is a
 tuple of ``(variable, exponent)`` pairs sorted by variable; the empty tuple
@@ -9,7 +10,7 @@ in that form and return results in it, so no caller reduces again."""
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Hashable, TypeVar
+from typing import Callable, Hashable, Sequence, TypeVar
 
 __all__ = [
     "binary_power",
@@ -20,6 +21,7 @@ __all__ = [
     "poly_mul",
     "frobenius",
     "poly_pow",
+    "cartan",
 ]
 
 T = TypeVar("T")
@@ -126,3 +128,77 @@ def poly_pow(a: Poly, n: int, p: int) -> Poly:
         a = frobenius(a, p)
         n //= p
     return binary_power(a, n, {(): 1}, lambda u, v: poly_mul(u, v, p))
+
+
+def cartan(
+    s: int,
+    factors: Sequence[tuple[T, int, int]],
+    total: Callable[[T, int], dict[int, Poly]],
+    p: int,
+) -> Poly:
+    """Q^s of the product of the f^e, by the Cartan formula: the t^s
+    coefficient of prod (sum_a Q^a(f) t^a)^e over the (f, e, floor) in
+    ``factors``.
+
+    ``total(f, cap)`` returns ``{a: Q^a f}`` for the nonzero Q^a f with
+    a <= cap, and ``floor`` is the least such a.  Each e is split into
+    base-p digits, f^e = prod_i (f^(p^i))^(d_i), and the total operation of
+    f^(p^i) is the p^i-th Frobenius twist of that of f (indices times p^i).
+    A block (sum_a T_a t^a)^d with d < p is the sum over non-decreasing
+    multisets of d indices of d!/prod c_a! times the product of the T_a; the
+    weight is never 0 mod p.  The blocks are combined toward exactly s,
+    memoized on (block, remaining degree), and only index sums that can
+    still reach s are formed.
+    """
+    blocks = []  # (f, p^i, digit d_i, floor)
+    for f, e, floor in factors:
+        q = 1
+        while e:
+            e, d = divmod(e, p)
+            if d:
+                blocks.append((f, q, d, floor))
+            q *= p
+    # least[j]: least index sum of blocks[j:]
+    least = [0] * (len(blocks) + 1)
+    for j in range(len(blocks) - 1, -1, -1):
+        _, q, d, floor = blocks[j]
+        least[j] = least[j + 1] + q * d * floor
+    if least[0] > s:
+        return {}
+    series = []  # per block: sorted (index, T_index) of the twisted total operation
+    for f, q, d, floor in blocks:
+        # one copy may rise above its own floor by the slack over all floors
+        cap = (s - least[0]) // q + floor
+        series.append(sorted((a * q, t if q == 1 else frobenius(t, q)) for a, t in total(f, cap).items()))
+    memo: dict[tuple[int, int], Poly] = {}
+
+    def rest(j: int, rem: int) -> Poly:
+        """The t^rem coefficient of the product of blocks[j:]."""
+        if j == len(blocks):
+            return {(): 1} if rem == 0 else {}
+        key = (j, rem)
+        if key in memo:
+            return memo[key]
+        terms, d = series[j], blocks[j][2]
+        acc: Poly = {}
+
+        def pick(k: int, start: int, left: int, prod: Poly, weight: int, run: int) -> None:
+            # k indices picked, the last at terms[start] (run copies of it),
+            # and `left` still to place in this block and the ones after it
+            for n in range(start, len(terms)):
+                a, t = terms[n]
+                if a * (d - k) > left - least[j + 1]:
+                    break
+                c = run + 1 if n == start else 1
+                w = weight * (k + 1) // c  # d!/prod c_a!, one pick at a time
+                if k + 1 < d:
+                    pick(k + 1, n, left - a, poly_mul(prod, t, p), w, c)
+                elif tail := rest(j + 1, left - a):
+                    for m, v in poly_mul(poly_mul(prod, t, p), tail, p).items():
+                        acc[m] = acc.get(m, 0) + w * v
+
+        pick(0, 0, rem, {(): 1}, 1, 0)
+        memo[key] = {m: r for m, c in acc.items() if (r := c % p)}
+        return memo[key]
+
+    return rest(0, s)

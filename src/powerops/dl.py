@@ -9,10 +9,10 @@ words Q^{s_1}...Q^{s_k} g applied to even-degree generators.  The action is
     Q^r Q^s = sum_i (-1)^(r+i) C((p-1)(i-s) - 1, pi - r) Q^(r+s-i) Q^i
                          whenever r > p s,
 
-with the Cartan formula across products.  Powers are handled through the
-total operation: Q_t(uv) = Q_t(u) Q_t(v) with Q_t(u^p) the p-th Frobenius
-twist of Q_t(u), which collapses the composition blowup for terms like
-Q^(p^3+p)((x^(p-1))^p Q^p x).
+with the Cartan formula across products (`arith.cartan`).  Powers are
+handled through the total operation: Q_t(uv) = Q_t(u) Q_t(v) with Q_t(u^p)
+the p-th Frobenius twist of Q_t(u), which collapses the composition blowup
+for terms like Q^(p^3+p)((x^(p-1))^p Q^p x).
 
 The Adem convention above is pinned by the five straightening identities in
 `verify_relation`: any sign mismatch fails loudly there.
@@ -24,7 +24,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from .arith import frobenius, poly_add, poly_mul, poly_pow, poly_scale
+from .arith import cartan, frobenius, poly_add, poly_mul, poly_pow, poly_scale
 
 __all__ = [
     "DLAlgebra",
@@ -148,56 +148,24 @@ class DLAlgebra:
         self._q_factor_cache[key] = out
         return out
 
-    def _total_q_factor(self, factor: Factor, budget: int) -> dict[int, "DLPolynomial"]:
+    def _total_q_factor(self, factor: Factor, budget: int) -> dict[int, dict[Monomial, int]]:
+        """``{a: terms of Q^a factor}`` for the nonzero Q^a with a <= budget."""
         d = self.factor_degree(factor)
         out = {}
         for a in range(d // 2, budget + 1):
             qa = self._q_factor(a, factor)
             if not qa.is_zero():
-                out[a] = qa
+                out[a] = qa.terms
         return out
 
     def _q_monomial(self, s: int, mono: Monomial) -> "DLPolynomial":
-        if not mono:
-            return self.one() if s == 0 else self.zero()
         key = (s, mono)
         cached = self._q_monomial_cache.get(key)
-        if cached is not None:
-            return cached
-        p = self.p
-        # base-p blocks: u^e = prod_i (u^(p^i))^(d_i)
-        comps: list[tuple[Factor, int, int]] = []
-        for factor, e in mono:
-            i = 0
-            while e:
-                d = e % p
-                if d:
-                    comps.append((factor, i, d))
-                e //= p
-                i += 1
-        floors = [
-            p**i * (self.factor_degree(f) // 2) * d for (f, i, d) in comps
-        ]
-        total_floor = sum(floors)
-        if total_floor > s:
-            out = self.zero()
-        else:
-            series: dict[int, DLPolynomial] = {0: self.one()}
-            for idx, (factor, i, d) in enumerate(comps):
-                room = s - (total_floor - floors[idx])
-                half = self.factor_degree(factor) // 2
-                a_max = room // p**i - (d - 1) * half
-                base = self._total_q_factor(factor, a_max)
-                comp: dict[int, DLPolynomial] = {
-                    a * p**i: q.frob(i) for a, q in base.items()
-                }
-                block = comp
-                for _ in range(d - 1):
-                    block = _convolve(self, block, comp, room)
-                series = _convolve(self, series, block, s)
-            out = series.get(s, self.zero())
-        self._q_monomial_cache[key] = out
-        return out
+        if cached is None:
+            factors = [(f, e, self.factor_degree(f) // 2) for f, e in mono]
+            cached = DLPolynomial(self, cartan(s, factors, self._total_q_factor, self.p))
+            self._q_monomial_cache[key] = cached
+        return cached
 
 
 @functools.cache
@@ -214,25 +182,6 @@ def _comb(n: int, k: int) -> int:
     if k < 0 or n < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def _convolve(
-    algebra: DLAlgebra,
-    a: dict[int, "DLPolynomial"],
-    b: dict[int, "DLPolynomial"],
-    cap: int,
-) -> dict[int, "DLPolynomial"]:
-    out: dict[int, DLPolynomial] = {}
-    for da, pa in a.items():
-        for db, pb in b.items():
-            d = da + db
-            if d > cap:
-                continue
-            prod = pa * pb
-            if prod.is_zero():
-                continue
-            out[d] = out[d] + prod if d in out else prod
-    return {d: q for d, q in out.items() if not q.is_zero()}
 
 
 class DLPolynomial:
@@ -575,10 +524,9 @@ def verify_factorization(p: int, sigmas: list[int] | None = None) -> Factorizati
         beta[f"c_{i}"] = qpx.q(p * p + p * i)
     nu = {"d": -(y.q(p * p + p - 1).q(p**3))}  # composed with Qbar(z) = Q^(p^2+p-1) y
 
-    mu_R = (
-        mu["a_0"].q(p**3 + p)
-        + mu["b"].frob() * qqx
-        + xp1.pow(p).frob() * mu["c_p"].q(2 * p * p - p)
+    zero = A.zero()
+    mu_R = RelationSpec.for_prime(p).relation_value(
+        a=[mu["a_0"]] + [zero] * (p - 1), b=mu["b"], c=[zero] * p + [mu["c_p"]]
     )
     qbar_nu = nu["d"]
     beta_alpha = A.zero()

@@ -25,7 +25,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .arith import frobenius, poly_add, poly_mul, poly_pow, poly_scale
+from .arith import cartan, frobenius, poly_add, poly_mul, poly_pow, poly_scale
 from .finite_field import GaloisField
 
 __all__ = [
@@ -201,77 +201,19 @@ def xibar(k: int, p: int) -> SymmetricClass:
     return SymmetricClass.newton(p, "xi", p**k - 1, -1)
 
 
-def q_on_product(s: int, factors, context: str, p: int) -> SymmetricClass:
-    """Q^s of a product of Newton classes, by the Cartan formula.
+def q_on_product(s: int, factors: list[tuple[int, int]], context: str, p: int) -> SymmetricClass:
+    """Q^s of the product of N_m^e over the (newton index m, multiplicity e)
+    pairs in `factors`, by the Cartan formula; Q^0 leaves a factor as it is."""
 
-    `factors` lists (newton index, multiplicity) pairs, or single-term
-    SymmetricClass factors (scalars pull out by linearity).  The sum runs
-    over multisets of operation indices per group of identical factors,
-    with multinomial weights mod p; an index of 0 leaves a factor untouched.
-    """
-    scale = 1
-    pairs: list[tuple[int, int]] = []
-    for f in factors:
-        if isinstance(f, SymmetricClass):
-            if len(f.terms) != 1:
-                raise ValueError("each factor must be a single Newton monomial")
-            ((mono, c),) = f.terms.items()
-            scale = scale * c % p
-            pairs.extend(mono)
-        else:
-            pairs.append(f)
-    groups = [(m, e) for m, e in pairs if e]
-    out = SymmetricClass.zero(p, context)
-
-    def admissible_indices(m: int, cap: int) -> list[int]:
-        idx = [0]
+    def total(m: int, cap: int) -> dict[int, dict[NewtonMonomial, int]]:
+        out = {0: SymmetricClass.newton(p, context, m).terms}
         for a in range(m, cap + 1):
-            if a == m or math.comb(a - 1, m - 1) % p:
-                idx.append(a)
-        return idx
+            qa = kochman_q(a, m, context, p)
+            if not qa.is_zero():
+                out[a] = qa.terms
+        return out
 
-    def walk(gi: int, remaining: int, acc: SymmetricClass):
-        nonlocal out
-        if gi == len(groups):
-            if remaining == 0:
-                out = out + acc
-            return
-        m, e = groups[gi]
-        choices = admissible_indices(m, remaining)
-
-        def assign(pos: int, left: int, rem: int, prev: int, cls: SymmetricClass, counts: dict[int, int]):
-            nonlocal out
-            if left == 0:
-                mult = math.factorial(e)
-                for cnt in counts.values():
-                    mult //= math.factorial(cnt)
-                mult %= p
-                if mult:
-                    walk(gi + 1, rem, acc * cls * mult)
-                return
-            for a in choices:
-                if a < prev:
-                    continue
-                # remaining copies each need at least a (non-decreasing order)
-                if a * left > rem:
-                    break
-                term = (
-                    SymmetricClass.newton(p, context, m)
-                    if a == 0
-                    else kochman_q(a, m, context, p)
-                )
-                if term.is_zero():
-                    continue
-                counts[a] = counts.get(a, 0) + 1
-                assign(pos + 1, left - 1, rem - a, a, cls * term, counts)
-                counts[a] -= 1
-                if not counts[a]:
-                    del counts[a]
-
-        assign(0, e, remaining, 0, SymmetricClass.one(p, context), {})
-
-    walk(0, s, SymmetricClass.one(p, context))
-    return out * scale
+    return SymmetricClass(p, context, cartan(s, [(m, e, 0) for m, e in factors], total, p))
 
 
 # ---------------------------------------------------------------------------

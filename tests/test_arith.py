@@ -1,8 +1,8 @@
 from functools import reduce
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from powerops.arith import frobenius, poly_add, poly_mul, poly_pow, poly_scale
+from powerops.arith import cartan, frobenius, poly_add, poly_mul, poly_pow, poly_scale
 
 PRIMES = st.sampled_from([3, 5, 7])
 
@@ -76,3 +76,83 @@ def test_evaluation_is_a_ring_map(pab, point, c):
     assert ev(poly_scale(a, c, p)) == c * ev(a) % p
     assert ev(poly_mul(a, b, p)) == ev(a) * ev(b) % p
     assert ev(frobenius(a, p)) == pow(ev(a), p, p)
+
+
+@st.composite
+def prime_and_factors(draw):
+    """A prime p and up to three factors (f, e, floor) with e in 0..2p, each
+    with a total-operation series {a: T_a}: T_floor and a few higher T_a,
+    small nonzero polynomials in variables 1..2."""
+    p = draw(PRIMES)
+    monomial = st.lists(st.integers(0, 2), min_size=2, max_size=2).map(
+        lambda es: tuple((v + 1, e) for v, e in enumerate(es) if e)
+    )
+    poly = st.dictionaries(monomial, st.integers(1, p - 1), min_size=1, max_size=2)
+    factors, series = [], {}
+    for f in range(draw(st.integers(1, 3))):
+        floor = draw(st.integers(0, 3))
+        offsets = draw(st.sets(st.integers(1, 3), max_size=2)) | {0}
+        series[f] = {floor + k: draw(poly) for k in offsets}
+        factors.append((f, draw(st.integers(0, 2 * p)), floor))
+    return p, factors, series
+
+
+def naive_cartan(top, factors, series, p):
+    """Every t^s coefficient, s <= top, of prod T_f^e, by multiplying in one
+    copy of T_f at a time."""
+    out = {0: {(): 1}}
+    for f, e, _ in factors:
+        for _ in range(e):
+            nxt = {}
+            for i, u in out.items():
+                for a, t in series[f].items():
+                    if i + a <= top:
+                        nxt[i + a] = poly_add(nxt.get(i + a, {}), poly_mul(u, t, p), p)
+            out = nxt
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(prime_and_factors())
+def test_cartan_matches_naive_expansion(pfs):
+    p, factors, series = pfs
+    top = sum(e * max(series[f]) for f, e, _ in factors)
+    want = naive_cartan(top, factors, series, p)
+
+    def total(f, cap):
+        return {a: t for a, t in series[f].items() if a <= cap}
+
+    for s in range(top + 2):
+        got = cartan(s, factors, total, p)
+        assert got == want.get(s, {})
+        assert reduced(got, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(prime_and_factors(), st.integers(0, 60))
+@example((5, [(0, 1, 3)], {0: {3: {(): 1}}}), 11)  # e = 1: asked for cap s
+@example((3, [(0, 1, 0)], {0: {0: {(): 1}}}), 7)
+def test_cartan_asks_only_for_reachable_indices(pfs, s):
+    """One copy of f^(p^i) can carry index a only if a*p^i plus the least
+    index sum of every other copy stays <= s, so the total operation of f is
+    asked for up to (s - least) // p^i + floor, once per base-p digit of e:
+    for a single f with e = 1, up to s exactly."""
+    p, factors, series = pfs
+    calls = []
+
+    def total(f, cap):
+        calls.append((f, cap))
+        return {a: t for a, t in series[f].items() if a <= cap}
+
+    cartan(s, factors, total, p)
+    least = sum(e * floor for _, e, floor in factors)
+    want = []
+    if least <= s:
+        for f, e, floor in factors:
+            q = 1
+            while e:
+                if e % p:
+                    want.append((f, (s - least) // q + floor))
+                e //= p
+                q *= p
+    assert sorted(calls) == sorted(want)

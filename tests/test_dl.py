@@ -98,9 +98,10 @@ def test_relation_and_identities(p):
     assert rep.en_threshold == 2 * (p * p + 2)
 
 
-def test_relation_p7():
-    rep = verify_relation(7)
-    assert rep.passed
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_relation_large_primes(p):
+    assert verify_relation(p).passed
+    assert verify_factorization(p).passed
 
 
 @pytest.mark.parametrize("p", [3, 5])
