@@ -27,8 +27,9 @@ def _check_prime(p: int) -> int:
 
 def _precision(text: str) -> int:
     k = int(text)
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"precision must be at least 1, got {k}")
+    # the power-operation value is C(ip, i)/p: dividing by p needs a second digit
+    if k < 2:
+        raise argparse.ArgumentTypeError(f"precision must be at least 2, got {k}")
     return k
 
 
@@ -36,7 +37,7 @@ def _common_flags(sp: argparse.ArgumentParser, precision: bool = False, seed: bo
     """--p and --format everywhere; --precision and --seed only where read."""
     sp.add_argument("--p", type=int, required=True, help="odd prime (3..13)")
     if precision:
-        sp.add_argument("--precision", type=_precision, help=f"p-adic digits K >= 1 (default {DEFAULT_PRECISION})")
+        sp.add_argument("--precision", type=_precision, help=f"p-adic digits K >= 2 (default {DEFAULT_PRECISION})")
     if seed:
         sp.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
     sp.add_argument("--format", choices=("text", "json"), default="text")

@@ -14,6 +14,12 @@ recovered, after multiplying by chi^n, from the chain
 Every stage is kept on the trace so the intermediate golden values can be
 checked exactly.
 
+The g stage is written down in closed form (see `g_series`): for a
+v3-linear logarithm whose degrees are all 1 mod (p-1), g is
+x^p - x alpha^(p-1) plus one exact binomial sum per logarithm term.  The
+generic product of formal sums, `_g_by_formal_sums`, survives only as its
+oracle in the property suite; any other logarithm raises ValueError.
+
 The alpha bound is widened per run: the surviving term sits at
 alpha^(p^3 - 1 + i(p-2)(p-1)) before the division by chi^(i(p-1)), which is
 beyond p^3 + p for every i >= 2.
@@ -21,6 +27,7 @@ beyond p^3 + p for every i >= 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .fgl import FormalGroupLaw, Logarithm
@@ -113,7 +120,47 @@ STAGE_FORMULAS = {
 
 
 def g_series(F: FormalGroupLaw, x_bound: int, alpha_bound: int) -> TruncatedSeries:
-    """x * prod_i (x +_F [w^i](alpha)) in variables (x, alpha)."""
+    """g = x * prod_i (x +_F [w^i](alpha)) in variables (x, alpha), in closed form.
+
+    For log x = x + sum_n m_n x^n with every m_n a multiple of v3 and every
+    n = 1 (mod p-1), [w^i](alpha) = w^i alpha, the product of the plain
+    factors is x^(p-1) - alpha^(p-1), v3^2 = 0 makes the v3 part a sum over
+    i, and sum_i w^(im) = (p-1) [p-1 | m] leaves
+
+        g = x^p - x alpha^(p-1)
+            - (p-1) sum_n m_n sum (-1)^k C(n, j) x^(j+p-1-k) alpha^(n-j+k)
+
+    over 1 <= j < n, 0 <= k <= p-2, j - k = 1 (mod p-1), cut at the
+    bounds.  Each coefficient is summed as an exact integer and embedded by
+    one multiplication with the v3 part of m_n.  Any other logarithm raises
+    ValueError; `_g_by_formal_sums` is the generic product, kept as the
+    oracle of this closed form.
+    """
+    p = F.p
+    one = CoeffV3.one(p, F.prec)
+    terms = [((p, 0), one), ((1, p - 1), -one)]
+    for n, m in sorted(F.log.coeffs.items()):
+        if n == 1:
+            continue
+        if (n - 1) % (p - 1):
+            raise ValueError(f"closed-form g needs log degrees = 1 mod {p - 1}, got x^{n}")
+        sums: dict[tuple[int, int], int] = {}
+        for k in range(p - 1):
+            # j = k+1 mod (p-1), x degree j+p-1-k < x_bound, alpha degree n-j+k < alpha_bound
+            lo = max(1, n + k - alpha_bound + 1)
+            lo += (k + 1 - lo) % (p - 1)
+            for j in range(lo, min(n - 1, x_bound - p + k) + 1, p - 1):
+                e = (j + p - 1 - k, n - j + k)
+                sums[e] = sums.get(e, 0) + (-1) ** k * math.comb(n, j)
+        for e, s in sums.items():
+            c = PAdicScalar.from_int(p, -(p - 1) * s, F.prec) * m.v3part
+            terms.append((e, CoeffV3.from_v3(c)))
+    return TruncatedSeries.from_terms(p, ("x", "alpha"), (x_bound, alpha_bound), terms)
+
+
+def _g_by_formal_sums(F: FormalGroupLaw, x_bound: int, alpha_bound: int) -> TruncatedSeries:
+    """x * prod_i (x +_F [w^i](alpha)) by generic formal sums: the oracle of
+    `g_series`, valid for any logarithm."""
     vars, bounds = ("x", "alpha"), (x_bound, alpha_bound)
     x = TruncatedSeries.variable(F.p, "x", vars, bounds, F.prec)
     out = x
@@ -259,6 +306,9 @@ def power_operation_value(
     p = F.p
     if not 2 <= i <= p:
         raise ValueError("i must lie in 2..p")
+    # the extracted coefficient is C(ip, i)/p: dividing by p needs a second digit
+    if F.prec < 2:
+        raise ValueError(f"precision must be at least 2, got {F.prec}")
     n = i * (p - 1)
     x_bound = p**2
     alpha_bound = p**3 + i * (p - 1) ** 2 + 1 + alpha_headroom

@@ -281,6 +281,20 @@ def suite_properties(p: int, precision: int = DEFAULT_PRECISION, seed: int = 0) 
         t0,
     )
 
+    # the closed-form g stage against the generic product of formal sums;
+    # that product cancels v3 terms to 0 below 6 digits, so it runs at K >= 8
+    t0 = time.perf_counter()
+    Fg = FormalGroupLaw.v3_truncated(p, max(precision, DEFAULT_PRECISION))
+    # x bound 2p+1 keeps the j = 1 and j = p terms; the pipeline's p^2 costs 7.4 s at p = 11
+    gb = (2 * p + 1, p**3 + p)
+    rec.add(
+        "g_closed_form_equals_formal_sums",
+        powerop.g_series(Fg, *gb) == powerop._g_by_formal_sums(Fg, *gb),
+        "closed-form g = x * prod_i (x +_F [w^i](alpha)) by formal sums",
+        "",
+        t0,
+    )
+
     t0 = time.perf_counter()
     vars2, bounds2 = ("y", "alpha"), (10, 8)
     k = TruncatedSeries.variable(p, "y", vars2, bounds2, precision)

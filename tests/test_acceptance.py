@@ -178,6 +178,7 @@ def test_criterion_9_property_suites_standalone():
     assert "teichmuller_root_of_unity" in names
     assert "fgl_associativity" in names
     assert "exp_equals_reversion_of_log" in names
+    assert "g_closed_form_equals_formal_sums" in names
     _report("criterion-9 (property suites runnable standalone; K=8 vs K=12 stable)")
 
 

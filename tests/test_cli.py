@@ -83,7 +83,8 @@ def test_removed_truncation_flags_are_rejected():
         ["compute", "power-op", "--p", "3", "--i", "2", "--seed", "1"],
         ["solve", "sigma", "--p", "3", "--seed", "1"],
         ["solve", "sigma", "--p", "3", "--precision", "8"],
-        # at least one p-adic digit
+        # at least two p-adic digits: the value is C(ip, i)/p
+        ["compute", "power-op", "--p", "3", "--i", "2", "--precision", "1"],
         ["compute", "power-op", "--p", "5", "--i", "2", "--precision", "0"],
         ["compute", "power-op", "--p", "5", "--i", "2", "--precision", "-1"],
         ["verify", "--p", "3", "--suite", "congruences", "--precision", "-1"],
@@ -94,6 +95,8 @@ def test_removed_truncation_flags_are_rejected():
         proc = run_cli(args)
         assert proc.returncode == 2, args
         assert "Traceback" not in proc.stderr, args
+    proc = run_cli(["compute", "power-op", "--p", "3", "--i", "2", "--precision", "1"])
+    assert "precision must be at least 2" in proc.stderr
     # a runner takes only the options it reads
     with pytest.raises(TypeError):
         reports.run_suite("relation", 3, precision=3)

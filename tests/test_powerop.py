@@ -3,8 +3,10 @@ import time
 
 import pytest
 
-from powerops.fgl import FormalGroupLaw
+from powerops import reports
+from powerops.fgl import FormalGroupLaw, Logarithm
 from powerops.powerop import (
+    _g_by_formal_sums,
     f_coefficient,
     g_series,
     h_polynomial,
@@ -17,7 +19,7 @@ from powerops.powerop import (
     run_pipeline,
     sigma_dl_coefficient,
 )
-from powerops.scalar import CoeffV3, PAdicScalar
+from powerops.scalar import CoeffV3, PAdicScalar, primitive_teichmuller_root
 from powerops.series import TruncatedSeries
 
 K = 8
@@ -58,6 +60,47 @@ def test_g_series_additive_law():
     x = TruncatedSeries.variable(p, "x", g.vars, g.bounds, K)
     a = TruncatedSeries.variable(p, "alpha", g.vars, g.bounds, K)
     assert g == x * (x.pow(p - 1) - a.pow(p - 1))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_g_closed_form_matches_formal_sums(p):
+    bounds = [
+        # power_operation_value at i = 2 and i = p
+        (p**2, p**3 + 2 * (p - 1) ** 2 + 1),
+        (p**2, p**3 + p * (p - 1) ** 2 + 1),
+        # isogeny_derivative_check and isogeny_log_additivity_check
+        (p + 3, p**3 + 2 * (p + 2) * (p - 1) + 1),
+        (2 * p + 4, p**3 + 4 * (p + 1) * (p - 1) + 1),
+        # an alpha bound that cuts: alpha^(p^3-p) is the last slot kept
+        (2 * p + 1, p**3 - p + 1),
+    ]
+    for F in (FormalGroupLaw.v3_truncated(p, K), FormalGroupLaw.additive(p, K)):
+        for xb, ab in bounds:
+            g, oracle = g_series(F, xb, ab), _g_by_formal_sums(F, xb, ab)
+            assert g == oracle, (F.log, xb, ab)
+            # exact integer coefficients keep all K digits; the formal sums keep at most K
+            for c in g.terms.values():
+                assert all(s.is_zero() or s.prec == K for s in (c.plain, c.v3part)), c
+
+
+def test_g_series_rejects_out_of_scope_logarithm():
+    # a v3 correction at x^2 breaks [w^i](alpha) = w^i alpha, since 2 != 1 mod 4
+    p = 5
+    v3_over_p = CoeffV3.from_v3(PAdicScalar(p, -1, 1, K))
+    log = Logarithm(p, K, {1: CoeffV3.one(p, K), 2: v3_over_p})
+    F = FormalGroupLaw(p, log, primitive_teichmuller_root(p, K), K)
+    with pytest.raises(ValueError):
+        g_series(F, p**2, p**3 + p)
+
+
+def test_pipeline_never_takes_formal_sums(monkeypatch):
+    def refuse(self, a, b):
+        raise AssertionError("the pipeline called formal_sum")
+
+    monkeypatch.setattr(FormalGroupLaw, "formal_sum", refuse)
+    p = 5
+    res = power_operation_value(FormalGroupLaw.v3_truncated(p, K), 2)
+    assert res.value.v3 == {p**3 - 1 - 2 * (p - 1): (-(math.comb(2 * p, 2) // p)) % p}
 
 
 def test_k_series_golden(trace3):
@@ -139,7 +182,7 @@ def test_h_polynomial_unit_case():
     assert h == one
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_power_operation_values(p):
     F = FormalGroupLaw.v3_truncated(p, K)
     for i in (2, p):
@@ -152,7 +195,7 @@ def test_power_operation_values(p):
         assert res.n == i * (p - 1)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_sigma_dl_extraction(p):
     F = FormalGroupLaw.v3_truncated(p, K)
     res2 = power_operation_value(F, 2)
@@ -185,6 +228,21 @@ def test_power_operation_rejects_bad_index():
         power_operation_value(F, 1)
     with pytest.raises(ValueError):
         power_operation_value(F, 4)
+
+
+def test_power_operation_rejects_one_digit():
+    # the value is C(ip, i)/p, so one digit leaves nothing after the division
+    with pytest.raises(ValueError, match="precision"):
+        power_operation_value(FormalGroupLaw.v3_truncated(3, 1), 2)
+    assert power_operation_value(FormalGroupLaw.v3_truncated(3, 2), 2).value.v3 == {22: 1}
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_precision_stability_large_primes(p):
+    # the engine's own K = 8 vs K = 12 check, and the closed-form g oracle
+    checks = {c.name: c.status for c in reports.suite_properties(p).checks}
+    assert checks["precision_stability_K8_vs_K12"] == "pass"
+    assert checks["g_closed_form_equals_formal_sums"] == "pass"
 
 
 def test_runtimes_small_primes():
