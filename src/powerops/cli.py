@@ -15,7 +15,7 @@ from .arith import prime_factors
 from .fgl import FormalGroupLaw
 from .scalar import DEFAULT_PRECISION
 
-MAX_PRIME = 13
+MAX_PRIME = 23
 
 
 def _check_prime(p: int) -> int:
@@ -35,7 +35,7 @@ def _precision(text: str) -> int:
 
 def _common_flags(sp: argparse.ArgumentParser, precision: bool = False, seed: bool = False) -> None:
     """--p and --format everywhere; --precision and --seed only where read."""
-    sp.add_argument("--p", type=int, required=True, help="odd prime (3..13)")
+    sp.add_argument("--p", type=int, required=True, help=f"odd prime (3..{MAX_PRIME})")
     if precision:
         sp.add_argument("--precision", type=_precision, help=f"p-adic digits K >= 2 (default {DEFAULT_PRECISION})")
     if seed:

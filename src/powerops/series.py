@@ -5,13 +5,26 @@ whose exponent reaches the per-variable bound is identically discarded, so a
 series is understood modulo those powers.  Binary operations take the
 componentwise minimum of the operand bounds.
 
-Composition, multiplicative inverse and series reversion split every series
-into plain + v3 * (v3 part); since v3^2 = 0 the expensive inner loops only
-ever run on plain series, which stay tiny in this pipeline.
+Composition and multiplicative inverse split every series into
+plain + v3 * (v3 part); since v3^2 = 0 the expensive inner loops only ever
+run on plain series, which stay tiny in this pipeline.
+
+Series reversion (`lagrange_invert`) uses the Lagrange-Buermann formula.
+Write k = y (1 + psi) + v3 k1, so y must divide every plain term of k, and
+let C(-n, m) = (-1)^m C(n+m-1, m).  Then k^(-1) = r0 + v3 r1 with
+
+    r0 = sum_n y^n sum_m [w^(n-1)] (C(-n, m) psi^m + C(-n-1, m) w psi' psi^m)
+    r1 = -sum_n y^(n-1) sum_m C(-n, m) [w^(n-1)] (k1 psi^m).
+
+r0 is the form of the formula without the factor 1/n, so no digit is lost
+where p divides n; r1 = -k1(r0) r0' is the formula for an antiderivative
+of k1, differentiated, so it needs no inverse series.  In the pipeline psi
+is a single monomial, so the reversion is a few single-term products.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -338,48 +351,70 @@ def _inverse_plain(f: TruncatedSeries) -> TruncatedSeries:
 def lagrange_invert(k: TruncatedSeries, var: str = "y") -> TruncatedSeries:
     """Compositional inverse of k in `var`: k(invert(k)) = var to bounds.
 
-    Requires zero constant term and linear coefficient exactly 1.  The plain
-    part is reverted by Newton iteration on composition; the v3 correction is
-    r1 = -(k1 o r0) / (k0' o r0), exact because v3^2 = 0.
+    Requires zero constant term, linear coefficient exactly 1, and `var`
+    dividing every plain term, so that k = y (1 + psi) + v3 k1 with
+    psi = (k0 - y)/y free of a constant term; a plain term free of `var`
+    (such as k = y + alpha) raises ValueError.  The v3 part k1 is
+    unrestricted.  With C(-n, m) = (-1)^m C(n+m-1, m) and [w^j] keeping the
+    other variables as coefficients, the Lagrange-Buermann formula gives
+    invert(k) = r0 + v3 r1 with
+
+        r0 = sum_n y^n sum_m [w^(n-1)] (C(-n, m) psi^m + C(-n-1, m) w psi' psi^m)
+        r1 = -sum_n y^(n-1) sum_m C(-n, m) [w^(n-1)] (k1 psi^m).
+
+    r0 is the form [y^n] r0 = [w^(n-1)] phi^(n-1) (phi - w phi') with
+    phi = 1/(1 + psi), which has no factor 1/n and so loses no digit where
+    p divides n.  r1 = -k1(r0) r0' because v3^2 = 0, and that is the
+    derivative of the formula applied to an antiderivative of k1, so it
+    needs no division and no inverse series.  psi^m is built by repeated
+    multiplication until it vanishes under the bounds, which it does since
+    psi has no constant term.
     """
-    i = k.index(var)
+    p, i = k.p, k.index(var)
     lin = tuple(1 if j == i else 0 for j in range(len(k.vars)))
     if not k.constant_term().is_zero():
         raise ValueError("reversion requires zero constant term")
-    c1 = k.terms.get(lin, CoeffV3.zero(k.p))
-    if not (c1.v3part.is_zero() and c1.plain == PAdicScalar.from_int(k.p, 1, max(c1.plain.prec, 1))):
+    c1 = k.terms.get(lin, CoeffV3.zero(p))
+    if not (c1.v3part.is_zero() and c1.plain == PAdicScalar.from_int(p, 1, max(c1.plain.prec, 1))):
         raise ValueError("reversion requires linear coefficient 1")
-    prec = series_precision(k)
-    # headroom so that the derivative below does not lose the top slot
-    padded = tuple(b + 1 if j == i else b for j, b in enumerate(k.bounds))
-    kp = k.with_bounds(padded)
-    k0, k1 = kp.plain_part(), kp.v3_part()
-    y = TruncatedSeries.variable(k.p, var, k.vars, k.bounds, prec)
-    r0 = _revert_plain(k0.with_bounds(k.bounds), var, y)
-    dk0 = k0.derivative(var).with_bounds(k.bounds)
-    out = r0
-    if k1.terms:
-        denom = _inverse_plain(_substitute_plain(dk0, var, r0))
-        r1 = -(_substitute_plain(k1.with_bounds(k.bounds), var, r0) * denom)
-        out = out + r1.times_v3()
+    psi, w_dpsi = {}, {}
+    for exp, c in k.plain_part().terms.items():
+        if exp[i] == 0:
+            raise ValueError(f"reversion requires {var} to divide every plain term")
+        if exp != lin:
+            e = exp[:i] + (exp[i] - 1,) + exp[i + 1 :]
+            psi[e] = c
+            if exp[i] > 1:
+                w_dpsi[e] = c.mul_int(exp[i] - 1)
+    psi = TruncatedSeries(k.vars, k.bounds, psi, p)
+    w_dpsi = TruncatedSeries(k.vars, k.bounds, w_dpsi, p)
+    k1 = k.v3_part()
+
+    def up(exp: tuple[int, ...]) -> tuple[int, ...]:
+        return exp[:i] + (exp[i] + 1,) + exp[i + 1 :]
+
+    r0, r1 = [], []
+    power = TruncatedSeries.one(p, k.vars, k.bounds, series_precision(k))
+    m = 0
+    while power.terms:
+        # [w^j] feeds y^(j+1) of r0 and y^j of r1
+        for exp, c in power.terms.items():
+            r0.append((up(exp), c.mul_int(_neg_binomial(exp[i] + 1, m))))
+        for exp, c in (w_dpsi * power).terms.items():
+            r0.append((up(exp), c.mul_int(_neg_binomial(exp[i] + 2, m))))
+        for exp, c in (k1 * power).terms.items():
+            r1.append((exp, c.mul_int(-_neg_binomial(exp[i] + 1, m))))
+        power = power * psi
+        m += 1
+    out = TruncatedSeries.from_terms(p, k.vars, k.bounds, r0)
+    if r1:
+        out = out + TruncatedSeries.from_terms(p, k.vars, k.bounds, r1).times_v3()
     return out
 
 
-def _revert_plain(k0: TruncatedSeries, var: str, y: TruncatedSeries) -> TruncatedSeries:
-    i = k0.index(var)
-    dk0 = k0.with_bounds(
-        tuple(b + 1 if j == i else b for j, b in enumerate(k0.bounds))
-    ).derivative(var).with_bounds(k0.bounds)
-    g = y
-    limit = k0.bounds[i].bit_length() + 2
-    for _ in range(limit):
-        e = _substitute_plain(k0, var, g) - y
-        if e.is_zero():
-            break
-        g = g - e * _inverse_plain(_substitute_plain(dk0, var, g))
-    else:
-        raise ArithmeticError("reversion did not converge")
-    return g
+def _neg_binomial(n: int, m: int) -> int:
+    """C(-n, m) = (-1)^m C(n+m-1, m)."""
+    return (-1) ** m * math.comb(n + m - 1, m)
 
 
 def divide_by_alpha_power(f: TruncatedSeries, m: int, var: str = "alpha") -> TruncatedSeries:

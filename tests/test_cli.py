@@ -46,6 +46,10 @@ def test_compute_power_op_output():
     assert proc.stdout.strip() == "v3 * alpha^116"
     proc = run_cli(["compute", "power-op", "--p", "5", "--i", "5"])
     assert proc.stdout.strip() == "-v3 * alpha^104"
+    # p = 17: -C(34, 2)/17 = 1 mod 17 at alpha^(17^3 - 1 - 2*16)
+    proc = run_cli(["compute", "power-op", "--p", "17", "--i", "2"])
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "v3 * alpha^4880"
 
 
 def test_solve_sigma_output():
@@ -56,7 +60,8 @@ def test_solve_sigma_output():
 
 
 def test_bad_prime_is_config_error():
-    for bad in ("4", "2", "17", "9"):
+    # 29 is prime but past the largest supported prime, 23
+    for bad in ("4", "2", "29", "9"):
         proc = run_cli(["verify", "--p", bad, "--suite", "powerop"])
         assert proc.returncode == 2
         assert "--p" in proc.stderr and bad in proc.stderr

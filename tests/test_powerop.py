@@ -20,7 +20,7 @@ from powerops.powerop import (
     sigma_dl_coefficient,
 )
 from powerops.scalar import CoeffV3, PAdicScalar, primitive_teichmuller_root
-from powerops.series import TruncatedSeries
+from powerops.series import TruncatedSeries, lagrange_invert
 
 K = 8
 
@@ -114,23 +114,58 @@ def test_k_series_golden(trace3):
     assert k.terms[(1,) + (0,) * (len(k.vars) - 1)] == CoeffV3.one(p, K)
 
 
-def test_k_inverse_golden_and_roundtrip(trace3):
-    F, tr = trace3
-    p = F.p
+@pytest.mark.parametrize("prec", [2, K])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_k_inverse_golden_and_roundtrip(p, prec):
+    F = FormalGroupLaw.v3_truncated(
+        p, prec, x_bound=p**2, alpha_bound=p**3 + p * (p - 1) ** 2 + 1
+    )
+    tr = run_pipeline(F)
     kinv = tr.k_inverse
-    # plain coefficients: [y^(n(p-1)+1)] = C(np,n)/(n(p-1)+1) alpha^(n(p-2)(p-1))
-    for n in range(1, p + 1):
-        deg = n * (p - 1) + 1
-        c = math.comb(n * p, n) // 1
-        want = PAdicScalar.from_ratio(p, math.comb(n * p, n), n * (p - 1) + 1, K)
-        slot = kinv.coefficient("y", deg)
+    # plain part: the Fuss-Catalan numbers,
+    # [y^(n(p-1)+1)] = C(np,n)/(n(p-1)+1) alpha^(n(p-2)(p-1)), at every n the y bound keeps
+    iy = kinv.index("y")
+    want = {}
+    n = 1
+    while n * (p - 1) + 1 < kinv.bounds[iy]:
         key = tuple(
-            n * (p - 2) * (p - 1) if v == "alpha" else 0 for v in kinv.vars
+            n * (p - 1) + 1 if v == "y" else n * (p - 2) * (p - 1) if v == "alpha" else 0
+            for v in kinv.vars
         )
-        assert slot.terms[key].plain == want
-    y = TruncatedSeries.variable(p, "y", kinv.vars, kinv.bounds, K)
+        want[key] = PAdicScalar.from_int(p, math.comb(n * p, n) // (n * (p - 1) + 1), prec)
+        n += 1
+    want[tuple(1 if v == "y" else 0 for v in kinv.vars)] = PAdicScalar.from_int(p, 1, prec)
+    plain = kinv.plain_part()
+    assert set(plain.terms) == set(want)
+    for key, c in want.items():
+        assert plain.terms[key].plain == c, key
+    if prec < 3:
+        # below three digits the composition itself is lossy: at p = 3 it
+        # leaves 3^2 y^7 alpha^6 where the exact value is 0, because
+        # PAdicScalar.__add__ maps cancellation to an exact zero
+        return
+    y = TruncatedSeries.variable(p, "y", kinv.vars, kinv.bounds, prec)
     assert tr.k.substitute("y", kinv) == y
     assert kinv.substitute("y", tr.k.with_bounds(kinv.bounds)) == y
+
+
+def test_k_inverse_term_pair_budget(monkeypatch):
+    # the pipeline k at p = 13, i = 13: psi is one monomial, so the reversion
+    # costs about one single-term product per power of psi and per term of k1
+    p = 13
+    F = FormalGroupLaw.v3_truncated(p, K)
+    ab = p**3 + p * (p - 1) ** 2 + 1
+    k = k_series(g_series(F, p**2, ab), F.euler_class("alpha", ab))
+    pairs = [0]
+    mul = TruncatedSeries.__mul__
+
+    def counting_mul(a, b):
+        pairs[0] += len(a.terms) * len(b.terms)
+        return mul(a, b)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
+    lagrange_invert(k, "y")
+    assert 0 < pairs[0] <= 1000
 
 
 def test_chi_squared_k_equals_g_of_chi_y(trace3):
@@ -182,7 +217,7 @@ def test_h_polynomial_unit_case():
     assert h == one
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
 def test_power_operation_values(p):
     F = FormalGroupLaw.v3_truncated(p, K)
     for i in (2, p):
@@ -237,7 +272,7 @@ def test_power_operation_rejects_one_digit():
     assert power_operation_value(FormalGroupLaw.v3_truncated(3, 2), 2).value.v3 == {22: 1}
 
 
-@pytest.mark.parametrize("p", [11, 13])
+@pytest.mark.parametrize("p", [11, 13, 17])
 def test_precision_stability_large_primes(p):
     # the engine's own K = 8 vs K = 12 check, and the closed-form g oracle
     checks = {c.name: c.status for c in reports.suite_properties(p).checks}

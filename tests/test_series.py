@@ -100,7 +100,8 @@ def _revert_oracle(coeffs: dict[int, Fraction], order: int) -> list[Fraction]:
 
         [y^n] k^(-1) = (1/n) [y^(n-1)] (y / k(y))^n
 
-    kept independent of the package's Newton-iteration implementation."""
+    with y/k(y) inverted term by term; it shares no code with the package's
+    p-adic series."""
 
     def mul(a, b):
         out = [Fraction(0)] * order
@@ -169,6 +170,23 @@ def test_lagrange_invert_residue_formula_oracle():
         assert got.plain == want or (got.plain.is_zero() and frac == 0)
 
 
+def test_lagrange_invert_keeps_every_digit():
+    # k = y + y^2 + y^3 at p = 3 has integer reversion coefficients; at
+    # y^6 and y^9 a factor 1/n would cost a digit
+    p, order = 3, 10
+    oracle = _revert_oracle({2: Fraction(1), 3: Fraction(1)}, order)
+    y = TruncatedSeries.variable(p, "y", ("y",), (order,), K)
+    inv = lagrange_invert(y + y.pow(2) + y.pow(3), "y")
+    for n in range(1, order):
+        assert oracle[n].denominator == 1
+        if oracle[n] == 0:
+            assert (n,) not in inv.terms
+            continue
+        got = inv.terms[(n,)].plain
+        assert got == PAdicScalar.from_int(p, oracle[n].numerator, K)
+        assert got.valuation + got.prec >= K, (n, got)
+
+
 def test_lagrange_invert_trivial_and_errors():
     vars, bounds = ("y",), (6,)
     y = TruncatedSeries.variable(P, "y", vars, bounds, K)
@@ -177,6 +195,35 @@ def test_lagrange_invert_trivial_and_errors():
         lagrange_invert(y.mul_int(2), "y")
     with pytest.raises(ValueError):
         lagrange_invert(y + TruncatedSeries.one(P, vars, bounds, K), "y")
+    # y must divide every plain term; a y-free v3 term is fine
+    vars, bounds = ("y", "alpha"), (6, 6)
+    y = TruncatedSeries.variable(P, "y", vars, bounds, K)
+    a = TruncatedSeries.variable(P, "alpha", vars, bounds, K)
+    with pytest.raises(ValueError):
+        lagrange_invert(y + a, "y")
+    v3a = a.scale(CoeffV3.from_v3(PAdicScalar.from_int(P, 1, K)))
+    assert lagrange_invert(y + v3a, "y") == y - v3a
+
+
+def _round_trip(k, var="y"):
+    inv = lagrange_invert(k, var)
+    y = TruncatedSeries.variable(k.p, var, k.vars, inv.bounds, K)
+    assert k.substitute(var, inv) == y
+    assert inv.substitute(var, k.with_bounds(inv.bounds)) == y
+    return inv
+
+
+def test_lagrange_invert_round_trips_p5():
+    # y-free terms of psi = (k - y)/y, and a v3 term at linear order in y
+    p = 5
+    vars, bounds = ("y", "alpha"), (12, 10)
+    y = TruncatedSeries.variable(p, "y", vars, bounds, K)
+    a = TruncatedSeries.variable(p, "alpha", vars, bounds, K)
+    v3 = CoeffV3.from_v3(PAdicScalar.from_int(p, 1, K))
+    _round_trip(y + a * y + y.pow(2))
+    inv = _round_trip(y + a * y.pow(3) + y.pow(5).mul_int(3) + (a.pow(2) * y).scale(v3))
+    # linear order: y - v3 alpha^2 y
+    assert inv.coefficient("y", 1) == TruncatedSeries.one(p, vars, bounds, K) - a.pow(2).scale(v3)
 
 
 def test_quotient_normalize_examples():
