@@ -5,7 +5,9 @@ Cartan formula for power operations on a product.
 A sparse polynomial is a ``{monomial: coefficient}`` dict.  A monomial is a
 tuple of ``(variable, exponent)`` pairs sorted by variable; the empty tuple
 is 1.  Every coefficient lies in 1..p-1: the functions below take operands
-in that form and return results in it, so no caller reduces again."""
+in that form and return results in it, so no caller reduces again.
+`poly_mul` collects term pairs on monomials packed into ints, so it merges
+monomial tuples once per distinct product, not once per pair."""
 
 from __future__ import annotations
 
@@ -100,7 +102,18 @@ def poly_scale(a: Poly, c: int, p: int) -> Poly:
 
 
 def poly_mul(a: Poly, b: Poly, p: int) -> Poly:
-    """a * b over F_p, one monomial product per pair of terms."""
+    """a * b over F_p, one monomial merge per distinct product.
+
+    Every variable of a and b gets a field of w bits, w the bit length of
+    twice the largest exponent, and a monomial is packed into the int
+    sum e * 2^(w * field).  The product of two monomials is then the sum of
+    their keys, with no carry between fields, so one pass over the term
+    pairs sums the coefficients on int keys.  A second pass in the same
+    order runs `merge_monomials` once per product that survives mod p, on
+    the first pair that gave it, so the result is the dict, insertion order
+    included, of one merge per pair (exponents are positive, so distinct
+    monomials have distinct keys).  Holding no monomial per key, it also
+    peaks below that loop in memory."""
     if len(a) < len(b):
         a, b = b, a
     if len(b) == 1:
@@ -108,12 +121,23 @@ def poly_mul(a: Poly, b: Poly, p: int) -> Poly:
         # distinct terms: nothing to collect
         ((m2, c2),) = b.items()
         return {merge_monomials(m1, m2): c1 * c2 % p for m1, c1 in a.items()}
+    names = {v: None for poly in (a, b) for m in poly for v, _ in m}
+    w = (2 * max((e for poly in (a, b) for m in poly for _, e in m), default=0)).bit_length()
+    shift = {v: w * i for i, v in enumerate(names)}
+    ka = [(m, sum(e << shift[v] for v, e in m), c) for m, c in a.items()]
+    kb = [(m, sum(e << shift[v] for v, e in m), c) for m, c in b.items()]
+    sums: dict[int, int] = {}
+    for _, k1, c1 in ka:
+        for _, k2, c2 in kb:
+            k = k1 + k2
+            sums[k] = sums.get(k, 0) + c1 * c2
+    # the pop leaves 0 behind, so only the first pair of a key is merged
     out: Poly = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = merge_monomials(m1, m2)
-            out[m] = out.get(m, 0) + c1 * c2
-    return {m: r for m, c in out.items() if (r := c % p)}
+    for m1, k1, _ in ka:
+        for m2, k2, _ in kb:
+            if c := sums.pop(k1 + k2, 0) % p:
+                out[merge_monomials(m1, m2)] = c
+    return out
 
 
 def frobenius(a: Poly, q: int) -> Poly:

@@ -4,10 +4,15 @@ Elements are ints packing base-p coefficient vectors of residues modulo a
 monic irreducible polynomial.  Multiplication and powering go through
 discrete-log tables, so a power sum costs one table lookup per term; this
 is what makes the randomized polynomial-identity checks cheap.
+
+Building a field only searches for the modulus.  The digit vectors and the
+exp/log tables, p^e entries each, are built the first time an operation
+reads them, so a field that is never evaluated in costs no tables.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 
 from .arith import binary_power, prime_factors
@@ -99,8 +104,10 @@ class GaloisField:
                 if _is_irreducible(f, p):
                     self.modulus = f
                     break
-        self._digits = [self._unpack(a) for a in range(self.size)]
-        self._build_log_tables()
+
+    @functools.cached_property
+    def _digits(self) -> list[tuple[int, ...]]:
+        return [self._unpack(a) for a in range(self.size)]
 
     def _unpack(self, a: int) -> tuple[int, ...]:
         out = []
@@ -119,7 +126,9 @@ class GaloisField:
         prod = _poly_mul_mod(list(self._digits[a]), list(self._digits[b]), self.modulus, self.p)
         return self._pack(prod)
 
-    def _build_log_tables(self):
+    @functools.cached_property
+    def _tables(self) -> tuple[list[int], list[int]]:
+        """(exp, log) to the base of the first generator of the unit group."""
         n = self.size - 1
         factors = prime_factors(n)
         g = None
@@ -129,13 +138,14 @@ class GaloisField:
                 break
         if g is None:
             raise ArithmeticError("no multiplicative generator found")
-        self.exp = [1] * n
-        self.log = [0] * self.size
+        exp = [1] * n
+        log = [0] * self.size
         acc = 1
         for i in range(n):
-            self.exp[i] = acc
-            self.log[acc] = i
+            exp[i] = acc
+            log[acc] = i
             acc = self._raw_mul(acc, g)
+        return exp, log
 
     def _pow_raw(self, a: int, n: int) -> int:
         return binary_power(a, n, 1, self._raw_mul)
@@ -149,14 +159,14 @@ class GaloisField:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        n = self.size - 1
-        return self.exp[(self.log[a] + self.log[b]) % n]
+        exp, log = self._tables
+        return exp[(log[a] + log[b]) % (self.size - 1)]
 
     def pow(self, a: int, m: int) -> int:
         if a == 0:
             return 0 if m else 1
-        n = self.size - 1
-        return self.exp[(self.log[a] * m) % n]
+        exp, log = self._tables
+        return exp[(log[a] * m) % (self.size - 1)]
 
     def mul_int(self, a: int, c: int) -> int:
         return self._pack([(x * c) % self.p for x in self._digits[a]])

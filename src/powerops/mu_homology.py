@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from dataclasses import dataclass, field
 
 from .arith import cartan, frobenius, poly_add, poly_mul, poly_pow, poly_scale
@@ -301,6 +302,7 @@ class IdentityCheck:
     passed: bool
     method: str
     witness: str = ""
+    elapsed_ms: float = 0.0
 
 
 @dataclass
@@ -308,10 +310,19 @@ class PropositionReport:
     p: int
     context: str
     checks: list[IdentityCheck] = field(default_factory=list)
+    _since: float = field(default_factory=time.perf_counter, init=False, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
+
+    def add(self, name: str, passed: bool, method: str) -> None:
+        """Record a check, charged with the time since the previous one (or
+        since the report was made): the identities are decided one after
+        another, each just before its check is added."""
+        now = time.perf_counter()
+        self.checks.append(IdentityCheck(name, passed, method, elapsed_ms=(now - self._since) * 1000))
+        self._since = now
 
 
 def _equal_exact(a: SymmetricClass, b: SymmetricClass) -> bool:
@@ -355,20 +366,20 @@ def verify_stdl(p: int) -> PropositionReport:
 
     lhs = SymmetricClass.zero(p, "xi") - kochman_q(p * p, p - 1, "xi", p)
     rhs = xb.pow(p - 1).frobenius() * q_p
-    rep.checks.append(IdentityCheck("q_p2_top_class", _equal_exact(lhs, rhs), "exact"))
+    rep.add("q_p2_top_class", _equal_exact(lhs, rhs), "exact")
 
     ok = all(
         kochman_q(p * p + i, p - 1, "xi", p).is_zero() for i in range(1, p - 1)
     )
-    rep.checks.append(IdentityCheck("q_p2_plus_i_vanishes", ok, "exact"))
+    rep.add("q_p2_plus_i_vanishes", ok, "exact")
 
     lhs = SymmetricClass.zero(p, "xi") - kochman_q(p * p + p - 1, p - 1, "xi", p)
     rhs = -(q_p.frobenius())
-    rep.checks.append(IdentityCheck("q_p2_plus_p_minus_1", _equal_exact(lhs, rhs), "exact"))
+    rep.add("q_p2_plus_p_minus_1", _equal_exact(lhs, rhs), "exact")
 
     lhs = q_on_product(p * p - p + 1, [(p - 1, p - 1)], "xi", p)  # on N_(p-1)^(p-1) = xibar^(p-1)
     rhs = xb.pow(p * p)
-    rep.checks.append(IdentityCheck("q_on_power_top", _equal_exact(lhs, rhs), "exact"))
+    rep.add("q_on_power_top", _equal_exact(lhs, rhs), "exact")
 
     ok = True
     inner = q_p  # = -N_(p^2-1) * (-1) ... a single Newton class
@@ -376,11 +387,11 @@ def verify_stdl(p: int) -> PropositionReport:
         img = _apply_q_to_class(p * p + p * i, inner, p)
         if not _equal_exact(img, SymmetricClass.zero(p, "xi")):
             ok = False
-    rep.checks.append(IdentityCheck("q_iterated_vanishes", ok, "exact"))
+    rep.add("q_iterated_vanishes", ok, "exact")
 
     lhs = SymmetricClass.zero(p, "xi") - kochman_q(2 * p, p - 1, "xi", p)
     rhs = -(xb.pow(p) * q_p)
-    rep.checks.append(IdentityCheck("q_2p_lower", _equal_exact(lhs, rhs), "exact"))
+    rep.add("q_2p_lower", _equal_exact(lhs, rhs), "exact")
     return rep
 
 
@@ -412,14 +423,14 @@ def verify_mudl(p: int, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> Propos
 
     lhs = kochman_q(p * p, n1, "b", p)
     rhs = kochman_q(p * p - 1, n2, "b", p) * half
-    rep.checks.append(IdentityCheck("q_p2_newton", _equal_symbolic(lhs, rhs), "symbolic"))
+    rep.add("q_p2_newton", _equal_symbolic(lhs, rhs), "symbolic")
 
     ok = all(kochman_q(p * p + i, n1, "b", p).is_zero() for i in range(1, p - 1))
-    rep.checks.append(IdentityCheck("q_p2_plus_i_vanishes", ok, "symbolic"))
+    rep.add("q_p2_plus_i_vanishes", ok, "symbolic")
 
     lhs = kochman_q(p * p + p - 1, n1, "b", p)
     rhs = -(kochman_q(p, n1, "b", p).frobenius())
-    rep.checks.append(IdentityCheck("q_p2_plus_p_minus_1", _equal_symbolic(lhs, rhs), "symbolic"))
+    rep.add("q_p2_plus_p_minus_1", _equal_symbolic(lhs, rhs), "symbolic")
 
     lhs = q_on_product(p * p - p + 1, [(n1, p - 1)], "b", p)
     rhs = SymmetricClass.newton(p, "b", n1).pow((p - 2) * p) * SymmetricClass.newton(
@@ -432,15 +443,15 @@ def verify_mudl(p: int, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> Propos
         fld = GaloisField(p, _EXT_DEGREE)
         ok4 = _equal_sampled(lhs, rhs, samples, random.Random(seed), fld)
         method4 = f"sampled({samples}, F_{p}^{_EXT_DEGREE})"
-    rep.checks.append(IdentityCheck("q_on_power_top", ok4, method4))
+    rep.add("q_on_power_top", ok4, method4)
 
     inner = kochman_q(p, n1, "b", p)
     ok = all(
         _apply_q_to_class(p * p + p * i, inner, p).is_zero() for i in range(1, p)
     )
-    rep.checks.append(IdentityCheck("q_iterated_vanishes", ok, "symbolic"))
+    rep.add("q_iterated_vanishes", ok, "symbolic")
 
     lhs = kochman_q(2 * p, n1, "b", p)
     rhs = kochman_q(2 * p - 1, n2, "b", p) * (-half)
-    rep.checks.append(IdentityCheck("q_2p_lower", _equal_symbolic(lhs, rhs), "symbolic"))
+    rep.add("q_2p_lower", _equal_symbolic(lhs, rhs), "symbolic")
     return rep

@@ -66,8 +66,19 @@ class _Recorder:
         self.report = report
         self.precision = precision
 
-    def add(self, name: str, passed: bool, expected: str = "", actual: str = "", t0: float | None = None):
-        ms = (time.perf_counter() - t0) * 1000 if t0 is not None else 0.0
+    def add(
+        self,
+        name: str,
+        passed: bool,
+        expected: str = "",
+        actual: str = "",
+        t0: float | None = None,
+        ms: float = 0.0,
+    ):
+        """Record a check; its time is measured from t0 when that is given,
+        else it is `ms`."""
+        if t0 is not None:
+            ms = (time.perf_counter() - t0) * 1000
         self.report.checks.append(
             Check(
                 name,
@@ -150,26 +161,22 @@ def _series_str(f: TruncatedSeries, limit: int = 4) -> str:
     return " + ".join(bits) + ("" if len(f.terms) <= limit else " + ...")
 
 
-def suite_stdl(p: int) -> SuiteReport:
-    rep = SuiteReport("stdl", p)
+def _proposition_suite(name: str, p: int, result: mu_homology.PropositionReport) -> SuiteReport:
+    """A suite report of the Newton-class identities, each with its own time."""
+    rep = SuiteReport(name, p)
     rec = _Recorder(rep)
-    t0 = time.perf_counter()
-    result = mu_homology.verify_stdl(p)
     for c in result.checks:
-        rec.add(c.name, c.passed, "0", c.method, t0)
-        t0 = time.perf_counter()
+        rec.add(c.name, c.passed, "0", c.method, ms=c.elapsed_ms)
     return rep
+
+
+def suite_stdl(p: int) -> SuiteReport:
+    return _proposition_suite("stdl", p, mu_homology.verify_stdl(p))
 
 
 def suite_mudl(p: int, seed: int = 0) -> SuiteReport:
-    rep = SuiteReport("mudl", p)
-    rec = _Recorder(rep)
-    t0 = time.perf_counter()
     result = mu_homology.verify_mudl(p, samples=mu_homology.DEFAULT_SAMPLES, seed=seed)
-    for c in result.checks:
-        rec.add(c.name, c.passed, "0", c.method, t0)
-        t0 = time.perf_counter()
-    return rep
+    return _proposition_suite("mudl", p, result)
 
 
 def suite_relation(p: int) -> SuiteReport:

@@ -247,6 +247,15 @@ class TruncatedSeries:
         return TruncatedSeries(self.vars, self.bounds, out, self.p)
 
     def pow(self, n: int) -> "TruncatedSeries":
+        """self^n.  A power whose every term would pass a bound is returned as
+        0 without a product: that is exact, since truncation is the quotient
+        by a monomial ideal."""
+        if n >= 1 and self.terms:
+            least = [min(e) for e in zip(*self.terms)]  # per variable
+            lowest = min(sum(e) for e in self.terms)  # total degree
+            top = sum(b - 1 for b in self.bounds)  # largest total degree kept
+            if any(n * d >= b for d, b in zip(least, self.bounds)) or n * lowest > top:
+                return TruncatedSeries.zero(self.p, self.vars, self.bounds)
         one = TruncatedSeries.one(self.p, self.vars, self.bounds, series_precision(self))
         return binary_power(self, n, one, operator.mul)
 

@@ -2,7 +2,8 @@ from functools import reduce
 
 from hypothesis import example, given, settings, strategies as st
 
-from powerops.arith import cartan, frobenius, poly_add, poly_mul, poly_pow, poly_scale
+from powerops import arith, mu_homology
+from powerops.arith import cartan, frobenius, merge_monomials, poly_add, poly_mul, poly_pow, poly_scale
 
 PRIMES = st.sampled_from([3, 5, 7])
 
@@ -156,3 +157,75 @@ def test_cartan_asks_only_for_reachable_indices(pfs, s):
                 e //= p
                 q *= p
     assert sorted(calls) == sorted(want)
+
+
+# exponents at and around the edges of a bit field
+EDGE_EXPONENTS = st.sampled_from([1, 2, 3, 4, 7, 8, 15, 16, 255, 256])
+# the variable names the callers use: generator indices (mu_homology) and
+# (operation word, generator) factors (dl)
+VARIABLE_KINDS = [lambda i: i + 1, lambda i: ((i % 3, i), "xy"[i % 2])]
+
+
+@st.composite
+def prime_and_wide_polys(draw):
+    """A prime p and two polynomials over F_p in up to 8 variables, with
+    exponents at the edges of bit fields and names of one kind."""
+    p = draw(PRIMES)
+    name = VARIABLE_KINDS[draw(st.integers(0, 1))]
+    n = draw(st.integers(1, 8))
+    monomial = st.dictionaries(st.integers(0, n - 1), EDGE_EXPONENTS, max_size=n).map(
+        lambda es: tuple(sorted((name(i), e) for i, e in es.items()))
+    )
+    return p, *(draw(st.dictionaries(monomial, st.integers(1, p - 1), max_size=6)) for _ in range(2))
+
+
+def naive_mul(a, b, p):
+    """One monomial merge per pair of terms, in the order poly_mul keeps."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = merge_monomials(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: r for m, c in out.items() if (r := c % p)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(prime_and_wide_polys())
+def test_poly_mul_matches_pairwise_merges(pab):
+    p, a, b = pab
+    # items(), not ==: the insertion order is part of the result
+    assert list(poly_mul(a, b, p).items()) == list(naive_mul(a, b, p).items())
+    assert list(poly_mul(b, a, p).items()) == list(naive_mul(b, a, p).items())
+
+
+def test_poly_mul_exponent_sum_needs_an_extra_bit():
+    # 255 + 255 = 510 does not fit in the 8 bits of 255: in fields that
+    # narrow, x1^510 would carry into x2 and collide with x1^254 x2
+    p = 7
+    a = {((1, 255),): 1, ((1, 127),): 2}
+    b = {((1, 255),): 3, ((1, 127), (2, 1)): 1}
+    got = poly_mul(a, b, p)
+    assert list(got.items()) == list(naive_mul(a, b, p).items())
+    assert got == {((1, 510),): 3, ((1, 382), (2, 1)): 1, ((1, 382),): 6, ((1, 254), (2, 1)): 2}
+
+
+def test_identity4_merges_once_per_distinct_product(monkeypatch):
+    # the exact identity-4 expansion at p = 7 forms 142 120 term pairs that
+    # collapse to 23 624 distinct products; one merge per pair is 144 667
+    p = 7
+    calls = [0]
+
+    def counting_merge(m1, m2):
+        calls[0] += 1
+        return merge_monomials(m1, m2)
+
+    monkeypatch.setattr(mu_homology, "_NEWTON_CACHE", {})
+    monkeypatch.setattr(arith, "merge_monomials", counting_merge)
+    lhs = mu_homology.q_on_product(p * p - p + 1, [(p - 1, p - 1)], "b", p)
+    n1 = mu_homology.SymmetricClass.newton(p, "b", p - 1)
+    n2 = mu_homology.SymmetricClass.newton(p, "b", 2 * (p - 1))
+    rhs = n1.pow((p - 2) * p) * n2.pow(p)
+    assert lhs.expand() == rhs.expand()
+    assert calls[0] <= 30_000

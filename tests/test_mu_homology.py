@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -133,15 +134,15 @@ def test_stdl_all_identities(p):
     assert rep.passed, [c.name for c in rep.checks if not c.passed]
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
 def test_mudl_all_identities(p):
     rep = verify_mudl(p, seed=0)
     assert rep.passed, [c.name for c in rep.checks if not c.passed]
 
 
-def test_mudl_display4_exact_vs_sampled_p5():
+@pytest.mark.parametrize("p", [5, 7])
+def test_mudl_display4_exact_vs_sampled(p):
     # dual route: the exact expansion agrees with the sampled verdict
-    p = 5
     lhs = q_on_product(p * p - p + 1, [(p - 1, p - 1)], "b", p)
     n1 = SymmetricClass.newton(p, "b", p - 1)
     n2 = SymmetricClass.newton(p, "b", 2 * (p - 1))
@@ -149,7 +150,46 @@ def test_mudl_display4_exact_vs_sampled_p5():
     assert lhs.expand() == rhs.expand()
     rep = verify_mudl(p)
     assert rep.passed
-    assert {c.name: c.method for c in rep.checks}["q_on_power_top"] == "sampled(64, F_5^4)"
+    assert {c.name: c.method for c in rep.checks}["q_on_power_top"] == f"sampled(64, F_{p}^4)"
+
+
+def test_mudl_builds_no_field_tables(monkeypatch):
+    # the sampled route decides identity 4 without reading the field, so the
+    # F_(p^4) tables (p^4 entries, 29 261 raw products at p = 13) are never built
+    calls = [0]
+    raw_mul = GaloisField._raw_mul
+
+    def counting_raw_mul(self, a, b):
+        calls[0] += 1
+        return raw_mul(self, a, b)
+
+    monkeypatch.setattr(GaloisField, "_raw_mul", counting_raw_mul)
+    assert verify_mudl(13).passed
+    assert calls[0] == 0
+
+
+def _digits(a, p, e):
+    return [a // p**i % p for i in range(e)]
+
+
+@pytest.mark.parametrize("p, e, pairs", [(3, 2, None), (5, 2, None), (5, 4, 200)])
+def test_field_tables_agree_with_raw_arithmetic(p, e, pairs):
+    # the table-driven operations against polynomial multiplication modulo
+    # the modulus and base-p digit arithmetic, on every pair or a sample
+    fld = GaloisField(p, e)
+    assert "_digits" not in vars(fld) and "_tables" not in vars(fld)  # built on first use
+    if pairs is None:
+        todo = [(a, b) for a in range(fld.size) for b in range(fld.size)]
+    else:
+        rng = random.Random(1)
+        todo = [(fld.sample(rng), fld.sample(rng)) for _ in range(pairs)]
+    for a, b in todo:
+        assert fld.mul(a, b) == fld._raw_mul(a, b)
+        assert fld.pow(a, b) == fld._pow_raw(a, b)
+        digits = [(x + y) % p for x, y in zip(_digits(a, p, e), _digits(b, p, e))]
+        assert fld.add(a, b) == sum(d * p**i for i, d in enumerate(digits))
+        # an integer c is the constant field element c mod p
+        assert fld.mul_int(a, b) == fld._raw_mul(a, b % p)
 
 
 def test_display4_sign_is_plus():
@@ -215,3 +255,20 @@ def test_galois_field_arithmetic():
         lhs = fld.pow(fld.add(a, b), 5)
         rhs = fld.add(fld.pow(a, 5), fld.pow(b, 5))
         assert lhs == rhs
+
+
+def test_suites_time_each_identity(monkeypatch):
+    # q_on_product serves only identity 4, so only that check carries its time
+    from powerops import mu_homology, reports
+
+    slow = mu_homology.q_on_product
+
+    def sleepy_q_on_product(*args):
+        time.sleep(0.05)
+        return slow(*args)
+
+    monkeypatch.setattr(mu_homology, "q_on_product", sleepy_q_on_product)
+    for rep, first in ((reports.suite_mudl(5), "q_p2_newton"), (reports.suite_stdl(5), "q_p2_top_class")):
+        ms = {c.name: c.elapsed_ms for c in rep.checks}
+        assert ms["q_on_power_top"] >= 50
+        assert ms[first] < 50

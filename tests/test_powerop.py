@@ -314,3 +314,33 @@ def test_alpha_headroom_stability(p):
         base = power_operation_value(F, i).value
         wide = power_operation_value(F, i, alpha_headroom=2 * p).value
         assert base == wide
+
+
+def test_log_derivative_in_pipeline_takes_no_products(monkeypatch):
+    # every term of w = chi k^(-1) has y-degree >= 1 and the y bound is p^2,
+    # so the power w^(p^3 - 1) of (log)'(w) is cut to 0 by TruncatedSeries.pow
+    from powerops import powerop
+
+    p = 7
+    calls, products, inside = [0], [0], [False]
+    mul = TruncatedSeries.__mul__
+    log_derivative = powerop._log_derivative_of
+
+    def counting_mul(a, b):
+        products[0] += inside[0]
+        return mul(a, b)
+
+    def watched(log, w):
+        calls[0] += 1
+        inside[0] = True
+        try:
+            return log_derivative(log, w)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
+    monkeypatch.setattr(powerop, "_log_derivative_of", watched)
+    res = power_operation_value(FormalGroupLaw.v3_truncated(p, K), 2)
+    assert res.value.render() == "v3 * alpha^330"
+    assert calls[0] == 1
+    assert products[0] == 0

@@ -312,3 +312,32 @@ def test_mul_commutative_associative_random():
         f, g, h = rand(), rand(), rand()
         assert f * g == g * f
         assert (f * g) * h == f * (g * h)
+
+
+@pytest.mark.parametrize(
+    "bounds, terms, n, cut",
+    [
+        ((10, 12), {(2, 1): 1, (3, 0): 2}, 5, True),  # n * least x-degree = x bound
+        ((11, 12), {(2, 1): 1, (3, 0): 2}, 5, False),  # ... = x bound - 1
+        ((4, 4), {(2, 0): 1, (0, 2): 1}, 4, True),  # n * least degree > 3 + 3
+        ((4, 4), {(1, 0): 1, (0, 1): 1}, 6, False),  # n * least degree = 3 + 3
+    ],
+)
+def test_pow_cut_at_the_bounds_equals_repeated_mul(monkeypatch, bounds, terms, n, cut):
+    vars = ("x", "alpha")
+    f = TruncatedSeries.from_terms(P, vars, bounds, {e: CoeffV3.from_int(P, c, K) for e, c in terms.items()})
+    want = f
+    for _ in range(n - 1):
+        want = want * f
+    assert want.is_zero() == cut
+    products = [0]
+    mul = TruncatedSeries.__mul__
+
+    def counting_mul(a, b):
+        products[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
+    assert f.pow(n) == want
+    # a cut power takes no product at all
+    assert (products[0] == 0) == cut
