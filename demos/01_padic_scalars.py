@@ -21,10 +21,10 @@ print("1/5 has negative valuation:", PAdicScalar.from_ratio(p, 1, 5, K))
 print()
 print("== Teichmuller lifts: fixed points of x -> x^p ==")
 w = teichmuller(2, 5, 4)
-print("lift of 2 mod 5^4:", w.omega.unit, " (182^4 mod 625 =", pow(182, 4, 625), ")")
+print("lift of 2 mod 5^4:", w.unit, " (182^4 mod 625 =", pow(182, 4, 625), ")")
 root = primitive_teichmuller_root(p, K)
-print(f"primitive root lift at p={p}:", root.omega)
-print("w^(p-1):", root.omega ** (p - 1))
+print(f"primitive root lift at p={p}:", root)
+print("w^(p-1):", root ** (p - 1))
 
 print()
 print("== the binomial congruences the final values reduce through ==")

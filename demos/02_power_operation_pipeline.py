@@ -9,7 +9,6 @@ from powerops.powerop import (
     run_pipeline,
     sigma_dl_coefficient,
 )
-from powerops.scalar import CoeffV3
 
 p = 3
 F = FormalGroupLaw.v3_truncated(p)
@@ -21,9 +20,7 @@ print("chi   =", F.euler_class())
 print("[p]   has terms at", sorted(F.p_series().degrees("alpha")))
 print("<p>   has terms at", sorted(F.angle_p_series().degrees("alpha")))
 
-trace = run_pipeline(
-    FormalGroupLaw.v3_truncated(p, x_bound=p**2, alpha_bound=p**3 + p * (p - 1) ** 2 + 1)
-)
+trace = run_pipeline(F, p**2, p**3 + p * (p - 1) ** 2 + 1)
 print()
 print("== pipeline stages (x-degrees / y-degrees present) ==")
 for name in ("g", "k", "k_inverse"):
@@ -37,7 +34,7 @@ print("== extraction for i = 2, ..., p ==")
 for i in range(2, p + 1):
     n = i * (p - 1)
     f_n = f_coefficient(trace, n)
-    h_n = h_polynomial(f_n, CoeffV3.zero(p), F, n)
+    h_n = h_polynomial(f_n, trace.angle_p, n)
     print(f"i={i}: f_{n} terms {sorted(f_n.terms)}, h_{n} terms {sorted(h_n.terms)}")
     res = power_operation_value(F, i)
     print(f"     value = {res.value.render()}")

@@ -4,7 +4,6 @@ Z_p[v3]/(v3^2) and mod-p Dyer-Lashof identities at odd primes."""
 from .scalar import (
     CoeffV3,
     PAdicScalar,
-    TeichmullerRoot,
     PrecisionLossError,
     teichmuller,
     primitive_teichmuller_root,

@@ -18,19 +18,18 @@ single correction term), so its p-series is
 and, because p^3 = 1 mod (p-1), the (p-1)st roots of unity act linearly:
 [w^i](x) = w^i * x.  The additive law is kept as a second built-in for
 oracle tests.
+
+A `FormalGroupLaw` is nothing but its logarithm and the Teichmuller lift w:
+it caches nothing and stores no truncation bound.  Callers pass the bounds
+of the series they want; a single-variable series left without one is cut
+at degree p^3 + p.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .scalar import (
-    DEFAULT_PRECISION,
-    CoeffV3,
-    PAdicScalar,
-    TeichmullerRoot,
-    primitive_teichmuller_root,
-)
+from .scalar import DEFAULT_PRECISION, CoeffV3, PAdicScalar, primitive_teichmuller_root
 from .series import TruncatedSeries
 
 __all__ = ["Logarithm", "FormalGroupLaw"]
@@ -50,6 +49,8 @@ class Logarithm:
         if self.coeffs.get(1) != one:
             raise ValueError("a logarithm must have linear coefficient 1")
         for n, c in self.coeffs.items():
+            if n < 1:
+                raise ValueError(f"a logarithm has no x^{n} term: exponents start at 1")
             if n >= 2 and not c.plain.is_zero():
                 raise ValueError(f"coefficient of x^{n} must be a multiple of v3")
 
@@ -83,49 +84,38 @@ class Logarithm:
         return z - self.correction(z)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FormalGroupLaw:
-    """A formal group law with cached n-series, angle-p series and Euler class.
+    """The formal group law with logarithm `log`, on which the (p-1)st roots
+    of unity act through the Teichmuller lift `omega` of a primitive root.
 
-    Default truncation: x and y at degree p^2, alpha at degree p^3 + p.
-    Pipelines that divide by higher powers of the Euler class pass wider
-    alpha bounds explicitly.
+    The law holds no state beyond these two: p and the precision are the
+    logarithm's, and every series is built afresh at the bounds the caller
+    gives.  A single-variable series left without a bound is cut at degree
+    p^3 + p.
     """
 
-    p: int
     log: Logarithm
-    omega: TeichmullerRoot
-    prec: int = DEFAULT_PRECISION
-    x_bound: int = 0
-    alpha_bound: int = 0
-    _cache: dict = field(default_factory=dict, repr=False)
+    omega: PAdicScalar
 
-    def __post_init__(self):
-        if self.x_bound == 0:
-            self.x_bound = self.p**2
-        if self.alpha_bound == 0:
-            self.alpha_bound = self.p**3 + self.p
+    @property
+    def p(self) -> int:
+        return self.log.p
+
+    @property
+    def prec(self) -> int:
+        return self.log.prec
 
     @classmethod
-    def v3_truncated(
-        cls,
-        p: int,
-        prec: int = DEFAULT_PRECISION,
-        x_bound: int = 0,
-        alpha_bound: int = 0,
-    ) -> "FormalGroupLaw":
-        return cls(
-            p,
-            Logarithm.v3_deformation(p, prec),
-            primitive_teichmuller_root(p, prec),
-            prec,
-            x_bound,
-            alpha_bound,
-        )
+    def v3_truncated(cls, p: int, prec: int = DEFAULT_PRECISION) -> "FormalGroupLaw":
+        return cls(Logarithm.v3_deformation(p, prec), primitive_teichmuller_root(p, prec))
 
     @classmethod
     def additive(cls, p: int, prec: int = DEFAULT_PRECISION) -> "FormalGroupLaw":
-        return cls(p, Logarithm.additive(p, prec), primitive_teichmuller_root(p, prec), prec)
+        return cls(Logarithm.additive(p, prec), primitive_teichmuller_root(p, prec))
+
+    def _bound(self, bound: int | None) -> int:
+        return bound or self.p**3 + self.p
 
     # -- helpers -------------------------------------------------------------
 
@@ -142,28 +132,21 @@ class FormalGroupLaw:
 
     # -- the named series ------------------------------------------------------
 
-    def addition_series(self, x_bound: int | None = None, y_bound: int | None = None) -> TruncatedSeries:
+    def addition_series(self, x_bound: int, y_bound: int) -> TruncatedSeries:
         """F(x, y) with F(x,0) = x, F = exp(log x + log y).
 
         The denominators introduced by the logarithm must cancel; a
         non-integral coefficient means the logarithm does not present a
         formal group law over the integral coefficient ring.
         """
-        xb = x_bound or self.x_bound
-        yb = y_bound or self.x_bound
-        key = ("F", xb, yb)
-        if key not in self._cache:
-            vars, bounds = ("x", "y"), (xb, yb)
-            x = TruncatedSeries.variable(self.p, "x", vars, bounds, self.prec)
-            y = TruncatedSeries.variable(self.p, "y", vars, bounds, self.prec)
-            F = self.formal_sum(x, y)
-            for exp, c in F.terms.items():
-                if not (c.plain.is_integral() and c.v3part.is_integral()):
-                    raise ArithmeticError(
-                        f"non-integral coefficient at {exp}: wrong logarithm"
-                    )
-            self._cache[key] = F
-        return self._cache[key]
+        vars, bounds = ("x", "y"), (x_bound, y_bound)
+        x = TruncatedSeries.variable(self.p, "x", vars, bounds, self.prec)
+        y = TruncatedSeries.variable(self.p, "y", vars, bounds, self.prec)
+        F = self.formal_sum(x, y)
+        for exp, c in F.terms.items():
+            if not (c.plain.is_integral() and c.v3part.is_integral()):
+                raise ArithmeticError(f"non-integral coefficient at {exp}: wrong logarithm")
+        return F
 
     def scalar_series(
         self,
@@ -174,36 +157,24 @@ class FormalGroupLaw:
         """[c](x) = exp(c * log(x)); an integer c gives the usual n-series."""
         if isinstance(c, int):
             c = PAdicScalar.from_int(self.p, c, self.prec)
-        b = bound or self.alpha_bound
-        key = ("scalar", var, b, c.valuation, c.unit if not c.is_zero() else 0)
-        if key not in self._cache:
-            x = TruncatedSeries.variable(self.p, var, (var,), (b,), self.prec)
-            self._cache[key] = self.exp_of(self.log.series(x).scale_scalar(c))
-        return self._cache[key]
+        x = TruncatedSeries.variable(self.p, var, (var,), (self._bound(bound),), self.prec)
+        return self.exp_of(self.log.series(x).scale_scalar(c))
 
     def p_series(self, var: str = "alpha", bound: int | None = None) -> TruncatedSeries:
         return self.scalar_series(self.p, var, bound)
 
     def angle_p_series(self, var: str = "alpha", bound: int | None = None) -> TruncatedSeries:
         """[p](x) / x, an exact division."""
-        key = ("angle", var, bound or self.alpha_bound)
-        if key not in self._cache:
-            ps = self.p_series(var, bound)
-            i = ps.index(var)
-            out = {}
-            for exp, c in ps.terms.items():
-                out[exp[:i] + (exp[i] - 1,) + exp[i + 1 :]] = c
-            self._cache[key] = TruncatedSeries(ps.vars, ps.bounds, out, self.p)
-        return self._cache[key]
+        ps = self.p_series(var, bound)
+        i = ps.index(var)
+        out = {exp[:i] + (exp[i] - 1,) + exp[i + 1 :]: c for exp, c in ps.terms.items()}
+        return TruncatedSeries(ps.vars, ps.bounds, out, self.p)
 
     def euler_class(self, var: str = "alpha", bound: int | None = None) -> TruncatedSeries:
         """prod_{i=1}^{p-1} [w^i](alpha), the Euler class of the reduced
         regular representation of the order-p cyclic group."""
-        key = ("euler", var, bound or self.alpha_bound)
-        if key not in self._cache:
-            b = bound or self.alpha_bound
-            out = TruncatedSeries.one(self.p, (var,), (b,), self.prec)
-            for i in range(1, self.p):
-                out = out * self.scalar_series(self.omega.power(i), var, b)
-            self._cache[key] = out
-        return self._cache[key]
+        b = self._bound(bound)
+        out = TruncatedSeries.one(self.p, (var,), (b,), self.prec)
+        for i in range(1, self.p):
+            out = out * self.scalar_series(self.omega**i, var, b)
+        return out

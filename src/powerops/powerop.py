@@ -165,7 +165,7 @@ def _g_by_formal_sums(F: FormalGroupLaw, x_bound: int, alpha_bound: int) -> Trun
     x = TruncatedSeries.variable(F.p, "x", vars, bounds, F.prec)
     out = x
     for i in range(1, F.p):
-        w = F.scalar_series(F.omega.power(i), "alpha", alpha_bound)
+        w = F.scalar_series(F.omega**i, "alpha", alpha_bound)
         out = out * F.formal_sum(x, _lift(w, vars, bounds))
     return out
 
@@ -201,15 +201,11 @@ class PipelineTrace:
     labels: dict[str, str] = field(default_factory=lambda: dict(STAGE_FORMULAS))
 
 
-def run_pipeline(
-    F: FormalGroupLaw, x_bound: int | None = None, alpha_bound: int | None = None
-) -> PipelineTrace:
+def run_pipeline(F: FormalGroupLaw, x_bound: int, alpha_bound: int) -> PipelineTrace:
     """Compute every stage up to (log)'(chi k^(-1)) * (k^(-1))'."""
-    xb = x_bound or F.x_bound
-    ab = alpha_bound or F.alpha_bound
-    chi = F.euler_class("alpha", ab)
-    angle = F.angle_p_series("alpha", ab)
-    g = g_series(F, xb, ab)
+    chi = F.euler_class("alpha", alpha_bound)
+    angle = F.angle_p_series("alpha", alpha_bound)
+    g = g_series(F, x_bound, alpha_bound)
     k = k_series(g, chi)
     kinv = lagrange_invert(k, "y")
     chik = _lift(chi, kinv.vars, kinv.bounds) * kinv
@@ -241,30 +237,25 @@ def f_coefficient(trace: PipelineTrace, n: int) -> TruncatedSeries:
     return _project(prod.coefficient("y", n), ("alpha",))
 
 
-def h_polynomial(
-    f_n: TruncatedSeries,
-    cpn_pth: CoeffV3,
-    F: FormalGroupLaw,
-    n: int,
-) -> TruncatedSeries:
-    """Unique h with f_n - h * <p>(alpha) = cpn_pth modulo (chi^(2n) alpha).
+def h_polynomial(f_n: TruncatedSeries, angle: TruncatedSeries, n: int) -> TruncatedSeries:
+    """Unique h with f_n - h * <p>(alpha) = 0 modulo (chi^(2n) alpha), for
+    <p> = `angle` in alpha alone, at the alpha bound of f_n.
 
-    The ideal is the truncation at alpha^(2n(p-1)+1); the solve walks the
-    alpha degrees upward and divides by p exactly at each step.
+    The target is 0 because the p-th power of every positive-degree
+    generator vanishes in the coefficient ring.  The ideal is the truncation
+    at alpha^(2n(p-1)+1); the solve walks the alpha degrees upward and
+    divides exactly by the constant term p of <p> at each step, with the
+    alpha-positive part of <p> feeding the later degrees.
     """
-    p = F.p
+    if angle.bounds != f_n.bounds:
+        raise ValueError(f"<p> has alpha bound {angle.bounds}, f_n has {f_n.bounds}")
+    p = f_n.p
     ab = f_n.bounds[f_n.index("alpha")]
-    angle = F.angle_p_series("alpha", ab)
-    p_const = TruncatedSeries.constant(
-        p, CoeffV3.from_int(p, p, F.prec), ("alpha",), (ab,)
-    )
-    excess = angle - p_const  # alpha-positive part of <p>
-    excess_slots = {exp[0]: c for exp, c in excess.terms.items()}
-    target = f_n - TruncatedSeries.constant(p, cpn_pth, ("alpha",), (ab,))
-    target_slots = {exp[0]: c for exp, c in target.terms.items()}
+    p_scalar = angle.constant_term().plain
+    excess_slots = {exp[0]: c for exp, c in angle.terms.items() if exp[0] > 0}
+    target_slots = {exp[0]: c for exp, c in f_n.terms.items()}
     cutoff = 2 * n * (p - 1)
     h: dict[int, CoeffV3] = {}
-    p_scalar = PAdicScalar.from_int(p, p, F.prec)
     for j in range(0, min(cutoff, ab - 1) + 1):
         acc = target_slots.get(j, CoeffV3.zero(p))
         for d, e in excess_slots.items():
@@ -314,10 +305,7 @@ def power_operation_value(
     alpha_bound = p**3 + i * (p - 1) ** 2 + 1 + alpha_headroom
     trace = run_pipeline(F, x_bound, alpha_bound)
     f_n = f_coefficient(trace, n)
-    # the p-th power of every positive-degree generator vanishes in the
-    # coefficient ring, so the congruence target is 0
-    cpn_pth = CoeffV3.zero(p)
-    h_n = h_polynomial(f_n, cpn_pth, F, n)
+    h_n = h_polynomial(f_n, trace.angle_p, n)
     trace.f_n = f_n
     trace.h_n = h_n
     s = f_n - h_n * trace.angle_p
@@ -340,13 +328,11 @@ def sigma_dl_coefficient(res: PowerOpResult, k: int) -> CoeffV3:
     return res.value.coefficient(idx)
 
 
-def psi_coefficient_lift(
-    trace: PipelineTrace, F: FormalGroupLaw, m: int
-) -> TruncatedSeries:
+def psi_coefficient_lift(trace: PipelineTrace, m: int) -> TruncatedSeries:
     """Integral lift of the degree-2m coefficient of the additive total
     operation: (f_m - h_m * <p>) / chi^(2m), an exact division."""
     f_m = f_coefficient(trace, m)
-    h_m = h_polynomial(f_m, CoeffV3.zero(F.p), F, m)
+    h_m = h_polynomial(f_m, trace.angle_p, m)
     s = f_m - h_m * trace.angle_p
     return divide_by_series_power(s, trace.chi, 2 * m)
 
@@ -387,7 +373,7 @@ def isogeny_derivative_check(F: FormalGroupLaw) -> bool:
     g_pow = TruncatedSeries.one(p, vars, bounds, F.prec)
     for m in range(1, m_max + 1):
         g_pow = g_pow * trace.g
-        psi_m = psi_coefficient_lift(trace, F, m)
+        psi_m = psi_coefficient_lift(trace, m)
         if psi_m.is_zero():
             continue
         lifted_psi = lifted_psi + _lift(psi_m, vars, bounds) * g_pow
@@ -414,7 +400,7 @@ def isogeny_log_additivity_check(F: FormalGroupLaw) -> bool:
     trace = run_pipeline(F, m_max + 2, ab)
     psi = {}
     for m in range(1, m_max + 1):
-        v = psi_coefficient_lift(trace, F, m)
+        v = psi_coefficient_lift(trace, m)
         if not v.is_zero():
             psi[m] = v
 

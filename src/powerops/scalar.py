@@ -8,6 +8,8 @@ Multiplication and division are exact at the tracked relative precision;
 addition may lose significance on cancellation, and the loss is recorded.
 Values divided by p (negative valuation) are first-class, which is what the
 logarithm x + (v3/p) x^(p^3) and the binomial quotients C(ip,i)/p require.
+A Teichmuller lift, the (p-1)st root of unity that acts on the formal group
+law, is a plain unit `PAdicScalar`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .arith import binary_power, prime_factors
 __all__ = [
     "PAdicScalar",
     "CoeffV3",
-    "TeichmullerRoot",
     "PrecisionLossError",
     "teichmuller",
     "primitive_teichmuller_root",
@@ -197,21 +198,12 @@ def binomial_scalar(p: int, n: int, k: int, prec: int = DEFAULT_PRECISION) -> PA
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TeichmullerRoot:
-    """A (p-1)st root of unity in Z_p, exact to the stored precision."""
-
-    omega: PAdicScalar
-    order: int
-
-    def power(self, i: int) -> PAdicScalar:
-        return self.omega ** (i % self.order)
-
-
-def teichmuller(residue: int, p: int, prec: int = DEFAULT_PRECISION) -> TeichmullerRoot:
+def teichmuller(residue: int, p: int, prec: int = DEFAULT_PRECISION) -> PAdicScalar:
     """Lift of a unit residue to the root of unity fixed by x -> x^p mod p^prec.
 
-    Frobenius iteration converges in at most `prec` steps.
+    The lift is a plain `PAdicScalar` w of valuation 0 with w^(p-1) = 1 to
+    the stored precision; its powers are `w ** i`.  Frobenius iteration
+    converges in at most `prec` steps.
     """
     if residue % p == 0:
         raise ValueError("residue must be a unit mod p")
@@ -224,7 +216,7 @@ def teichmuller(residue: int, p: int, prec: int = DEFAULT_PRECISION) -> Teichmul
         a = b
     else:
         raise ArithmeticError("Teichmuller iteration failed to stabilize")
-    return TeichmullerRoot(PAdicScalar(p, 0, a, prec), p - 1)
+    return PAdicScalar(p, 0, a, prec)
 
 
 def _is_primitive_root(g: int, p: int) -> bool:
@@ -232,7 +224,7 @@ def _is_primitive_root(g: int, p: int) -> bool:
     return all(pow(g, n // q, p) != 1 for q in prime_factors(n))
 
 
-def primitive_teichmuller_root(p: int, prec: int = DEFAULT_PRECISION) -> TeichmullerRoot:
+def primitive_teichmuller_root(p: int, prec: int = DEFAULT_PRECISION) -> PAdicScalar:
     """Teichmuller lift of the smallest primitive root mod p."""
     for g in range(2, p):
         if _is_primitive_root(g, p):

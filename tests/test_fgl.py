@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -62,7 +63,7 @@ def test_scalar_series_examples():
     assert F.scalar_series(1, "x", b) == x
     # [w^i](x) = w^i x exactly for the p-typical target law
     for i in range(1, p):
-        wi = F.omega.power(i)
+        wi = F.omega**i
         assert F.scalar_series(wi, "x", b) == x.scale_scalar(wi)
     # [p](x) = px - (p^(p^3-1) - 1) v3 x^(p^3)
     ps = F.p_series("x", b)
@@ -102,7 +103,7 @@ def test_euler_class_p3_direct_product_oracle():
     # p=3: omega = 8 mod 3^K, chi = (omega a)(omega^2 a) = omega^3 a^2 = -a^2
     p, Kp = 3, 6
     w = primitive_teichmuller_root(p, Kp)
-    prod = (w.omega * w.omega * w.omega).unit
+    prod = (w * w * w).unit
     assert prod % p**Kp == p**Kp - 1  # omega^3 = -1
 
 
@@ -156,7 +157,7 @@ def test_addition_series_flags_wrong_logarithm():
         1: CoeffV3.one(p, K),
         2: CoeffV3.from_v3(PAdicScalar.from_ratio(p, 1, p, K)),
     }
-    bad = FormalGroupLaw(p, Logarithm(p, K, coeffs), primitive_teichmuller_root(p, K), K)
+    bad = FormalGroupLaw(Logarithm(p, K, coeffs), primitive_teichmuller_root(p, K))
     with pytest.raises(ArithmeticError):
         bad.addition_series(4, 4)
 
@@ -185,3 +186,22 @@ def test_log_composed_with_inverse_is_identity():
     z = TruncatedSeries.variable(p, "z", ("z",), (bound,), K)
     v3_over_p = CoeffV3.from_v3(PAdicScalar(p, -1, 1, K))
     assert inv == z - z.pow(p**3).scale(v3_over_p)
+
+
+def test_logarithm_rejects_exponents_below_one():
+    # correction() sums only n >= 2, so an x^0 or x^(-2) term would be dropped
+    p = 3
+    v3 = CoeffV3.from_v3(PAdicScalar.from_int(p, 1, K))
+    with pytest.raises(ValueError, match="x\\^0"):
+        Logarithm(p, K, {1: CoeffV3.one(p, K), 0: v3})
+    with pytest.raises(ValueError, match="x\\^-2"):
+        Logarithm(p, K, {1: CoeffV3.one(p, K), -2: v3})
+
+
+def test_law_is_its_logarithm_and_root_of_unity():
+    F = FormalGroupLaw.v3_truncated(5, K)
+    assert [f.name for f in dataclasses.fields(FormalGroupLaw)] == ["log", "omega"]
+    assert (F.p, F.prec) == (F.log.p, F.log.prec) == (5, K)
+    assert F.omega == primitive_teichmuller_root(5, K)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        F.omega = F.omega

@@ -32,8 +32,8 @@ def _monomial(p, vars, bounds, exp, coeff):
 @pytest.fixture(scope="module")
 def trace3():
     p = 3
-    F = FormalGroupLaw.v3_truncated(p, K, x_bound=p**2, alpha_bound=p**3 + p * (p - 1) ** 2 + 1)
-    return F, run_pipeline(F)
+    F = FormalGroupLaw.v3_truncated(p, K)
+    return F, run_pipeline(F, p**2, p**3 + p * (p - 1) ** 2 + 1)
 
 
 def test_g_series_structure(trace3):
@@ -88,7 +88,7 @@ def test_g_series_rejects_out_of_scope_logarithm():
     p = 5
     v3_over_p = CoeffV3.from_v3(PAdicScalar(p, -1, 1, K))
     log = Logarithm(p, K, {1: CoeffV3.one(p, K), 2: v3_over_p})
-    F = FormalGroupLaw(p, log, primitive_teichmuller_root(p, K), K)
+    F = FormalGroupLaw(log, primitive_teichmuller_root(p, K))
     with pytest.raises(ValueError):
         g_series(F, p**2, p**3 + p)
 
@@ -117,10 +117,8 @@ def test_k_series_golden(trace3):
 @pytest.mark.parametrize("prec", [2, K])
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_k_inverse_golden_and_roundtrip(p, prec):
-    F = FormalGroupLaw.v3_truncated(
-        p, prec, x_bound=p**2, alpha_bound=p**3 + p * (p - 1) ** 2 + 1
-    )
-    tr = run_pipeline(F)
+    F = FormalGroupLaw.v3_truncated(p, prec)
+    tr = run_pipeline(F, p**2, p**3 + p * (p - 1) ** 2 + 1)
     kinv = tr.k_inverse
     # plain part: the Fuss-Catalan numbers,
     # [y^(n(p-1)+1)] = C(np,n)/(n(p-1)+1) alpha^(n(p-2)(p-1)), at every n the y bound keeps
@@ -191,7 +189,7 @@ def test_f_and_h_goldens(trace3):
         f_n = f_coefficient(tr, n)
         key = (i * (p - 2) * (p - 1),)
         assert f_n.terms[key].plain == PAdicScalar.from_int(p, math.comb(i * p, i), K)
-        h_n = h_polynomial(f_n, CoeffV3.zero(p), F, n)
+        h_n = h_polynomial(f_n, tr.angle_p, n)
         assert h_n.terms[key].plain == PAdicScalar.from_ratio(
             p, math.comb(i * p, i), p, K
         )
@@ -212,7 +210,7 @@ def test_h_polynomial_unit_case():
     p = 3
     F = FormalGroupLaw.v3_truncated(p, K)
     angle = F.angle_p_series()
-    h = h_polynomial(angle, CoeffV3.zero(p), F, 1)
+    h = h_polynomial(angle, angle, 1)
     one = TruncatedSeries.one(p, ("alpha",), angle.bounds, K)
     assert h == one
 
@@ -303,7 +301,7 @@ def test_psi_lift_matches_low_degrees(trace3):
     # the degree-1 coefficient lift vanishes (the image of the degree-2
     # generator is 0 in the coefficient ring), the degree-0 one is 1
     F, tr = trace3
-    assert psi_coefficient_lift(tr, F, 1).is_zero()
+    assert psi_coefficient_lift(tr, 1).is_zero()
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -344,3 +342,29 @@ def test_log_derivative_in_pipeline_takes_no_products(monkeypatch):
     assert res.value.render() == "v3 * alpha^330"
     assert calls[0] == 1
     assert products[0] == 0
+
+
+def test_pipeline_builds_angle_p_once(monkeypatch):
+    # the law caches nothing, so h_n must reuse the <p> on the trace: one
+    # <p>, and p scalar series (p - 1 for chi, one for <p>)
+    p = 5
+    counts = {"angle_p_series": 0, "scalar_series": 0}
+    for name in counts:
+        original = getattr(FormalGroupLaw, name)
+
+        def counting(self, *args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(FormalGroupLaw, name, counting)
+    res = power_operation_value(FormalGroupLaw.v3_truncated(p, K), 2)
+    assert res.value.render() == "v3 * alpha^116"
+    assert counts == {"angle_p_series": 1, "scalar_series": p}
+
+
+def test_h_polynomial_rejects_mismatched_alpha_bound(trace3):
+    F, tr = trace3
+    p = F.p
+    f_n = f_coefficient(tr, 2 * (p - 1))
+    with pytest.raises(ValueError, match="alpha bound"):
+        h_polynomial(f_n, F.angle_p_series(), 2 * (p - 1))
