@@ -125,17 +125,19 @@ def main(argv: list[str] | None = None) -> int:
             print("--i must lie in 2..p", file=sys.stderr)
             return 2
         F = FormalGroupLaw.v3_truncated(p, args.precision or DEFAULT_PRECISION)
-        res = powerop.power_operation_value(F, args.i)
+        value = powerop.power_operation_value(F, args.i).value
         if args.format == "json":
+            coeffs = {str(j): value.coefficient(j) for j in set(value.plain) | set(value.v3)}
+            if not value.constant.is_zero():
+                coeffs["0"] = value.constant
             print(
                 json.dumps(
                     {
                         "prime": p,
                         "i": args.i,
-                        "value": res.value.render(),
+                        "value": value.render(),
                         "coefficients": {
-                            str(j): [c.plain.residue(), c.v3part.residue()]
-                            for j, c in sorted(res.c.items())
+                            j: [c.plain.residue(), c.v3part.residue()] for j, c in coeffs.items()
                         },
                     },
                     indent=2,
@@ -143,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
                 )
             )
         else:
-            print(res.value.render())
+            print(value.render())
         return 0
 
     if args.command == "solve" and args.target == "sigma":

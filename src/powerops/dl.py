@@ -478,7 +478,6 @@ class FactorizationReport:
     p: int
     sigmas: list[int]
     residual: DLPolynomial
-    substitutions: dict[str, dict[str, DLPolynomial]] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -538,7 +537,7 @@ def verify_factorization(p: int, sigmas: list[int] | None = None) -> Factorizati
     beta_alpha = beta_alpha - xp1.pow(p).frob() * beta["z_last"].q(2 * p * p - p)
 
     residual = mu_R - qbar_nu - beta_alpha
-    return FactorizationReport(p, sigmas, residual, {"mu": mu, "beta": beta, "nu": nu})
+    return FactorizationReport(p, sigmas, residual)
 
 
 def op_definedness(n: int, s: int, d: int) -> str:

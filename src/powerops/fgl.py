@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalar import DEFAULT_PRECISION, CoeffV3, PAdicScalar, primitive_teichmuller_root
-from .series import TruncatedSeries
+from .series import TruncatedSeries, divide_by_alpha_power
 
 __all__ = ["Logarithm", "FormalGroupLaw"]
 
@@ -165,10 +165,7 @@ class FormalGroupLaw:
 
     def angle_p_series(self, var: str = "alpha", bound: int | None = None) -> TruncatedSeries:
         """[p](x) / x, an exact division."""
-        ps = self.p_series(var, bound)
-        i = ps.index(var)
-        out = {exp[:i] + (exp[i] - 1,) + exp[i + 1 :]: c for exp, c in ps.terms.items()}
-        return TruncatedSeries(ps.vars, ps.bounds, out, self.p)
+        return divide_by_alpha_power(self.p_series(var, bound), 1, var)
 
     def euler_class(self, var: str = "alpha", bound: int | None = None) -> TruncatedSeries:
         """prod_{i=1}^{p-1} [w^i](alpha), the Euler class of the reduced

@@ -301,7 +301,6 @@ class IdentityCheck:
     name: str
     passed: bool
     method: str
-    witness: str = ""
     elapsed_ms: float = 0.0
 
 
@@ -412,9 +411,13 @@ def verify_mudl(p: int, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> Propos
     Scalar-multiple identities (1, 2, 3, 5, 6) are decided by exact
     comparison of canonical Newton monomials (sound: power sums with index
     coprime to p are algebraically independent).  The product identity 4 is
-    expanded exactly at p = 3; at p >= 5 it is checked by randomized
-    symmetric evaluation over F_(p^4), failure probability below
-    (degree / p^4)^samples < 2^-30 at the default parameters.
+    expanded exactly at p = 3.  At p >= 5 it is labelled
+    sampled(samples, F_p^4), but `_equal_sampled` returns as soon as
+    lhs - rhs is the zero Newton polynomial, which it is at every prime in
+    scope, so no point is evaluated: the check is decided by Newton-monomial
+    cancellation.  Only a nonzero difference would be evaluated over
+    F_(p^4), with failure probability below (degree / p^4)^samples < 2^-30
+    at the default parameters.
     """
     rep = PropositionReport(p, "b")
     half = (p + 1) // 2  # 1/2 mod p

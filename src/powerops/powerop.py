@@ -243,35 +243,21 @@ def h_polynomial(f_n: TruncatedSeries, angle: TruncatedSeries, n: int) -> Trunca
 
     The target is 0 because the p-th power of every positive-degree
     generator vanishes in the coefficient ring.  The ideal is the truncation
-    at alpha^(2n(p-1)+1); the solve walks the alpha degrees upward and
-    divides exactly by the constant term p of <p> at each step, with the
-    alpha-positive part of <p> feeding the later degrees.
+    at alpha^(2n(p-1)+1), so h is the quotient f_n / <p> cut there; it
+    must be integral, and the first alpha degree where it is not raises
+    ArithmeticError.
     """
     if angle.bounds != f_n.bounds:
         raise ValueError(f"<p> has alpha bound {angle.bounds}, f_n has {f_n.bounds}")
-    p = f_n.p
-    ab = f_n.bounds[f_n.index("alpha")]
-    p_scalar = angle.constant_term().plain
-    excess_slots = {exp[0]: c for exp, c in angle.terms.items() if exp[0] > 0}
-    target_slots = {exp[0]: c for exp, c in f_n.terms.items()}
-    cutoff = 2 * n * (p - 1)
-    h: dict[int, CoeffV3] = {}
-    for j in range(0, min(cutoff, ab - 1) + 1):
-        acc = target_slots.get(j, CoeffV3.zero(p))
-        for d, e in excess_slots.items():
-            if 0 <= j - d and (j - d) in h:
-                acc = acc - h[j - d] * e
-        if acc.is_zero():
-            continue
-        q = CoeffV3(acc.plain / p_scalar, acc.v3part / p_scalar)
-        if not (q.plain.is_integral() and q.v3part.is_integral()):
+    cut = min(2 * n * (f_n.p - 1) + 1, f_n.bounds[0])
+    h = _angle_quotient(f_n.with_bounds((cut,)), angle)
+    for (j,), c in sorted(h.terms.items()):
+        if not (c.plain.is_integral() and c.v3part.is_integral()):
             raise ArithmeticError(
                 f"congruence unsolvable: alpha^{j} coefficient is not divisible by p"
             )
-        h[j] = q
-    return TruncatedSeries.from_terms(
-        p, ("alpha",), (ab,), {(j,): c for j, c in h.items()}
-    )
+    # back at the bound of f_n, so that h * <p> is not cut at the ideal
+    return TruncatedSeries(f_n.vars, f_n.bounds, h.terms, f_n.p)
 
 
 @dataclass
@@ -280,7 +266,6 @@ class PowerOpResult:
 
     n: int
     value: QuotientNormalForm
-    c: dict[int, CoeffV3]
     trace: PipelineTrace
 
 
@@ -310,13 +295,7 @@ def power_operation_value(
     trace.h_n = h_n
     s = f_n - h_n * trace.angle_p
     shifted = divide_by_series_power(s, trace.chi, n)
-    normal = quotient_normalize(shifted)
-    coeffs = {}
-    for j in sorted(set(normal.plain) | set(normal.v3)):
-        coeffs[j] = normal.coefficient(j)
-    if not normal.constant.is_zero():
-        coeffs[0] = normal.constant
-    return PowerOpResult(n, normal, coeffs, trace)
+    return PowerOpResult(n, quotient_normalize(shifted), trace)
 
 
 def sigma_dl_coefficient(res: PowerOpResult, k: int) -> CoeffV3:
@@ -342,14 +321,12 @@ def _is_integral(f: TruncatedSeries) -> bool:
 
 
 def _angle_quotient(f: TruncatedSeries, angle: TruncatedSeries) -> TruncatedSeries:
-    """f / <p> with rational intermediate coefficients; the caller decides
-    whether the quotient is integral."""
-    p = f.p
-    p_inv = PAdicScalar.from_ratio(p, 1, p, series_precision(angle))
+    """f / <p> at the bounds of f, as (f / (<p>/p)) / p: <p>/p is 1 plus a
+    v3 part, so its inverse is closed-form.  Coefficients may be rational;
+    the caller decides whether the quotient must be integral."""
+    p_inv = PAdicScalar.from_ratio(f.p, 1, f.p, series_precision(angle))
     unit = _lift(angle, f.vars, f.bounds).scale_scalar(p_inv)
-    return f * unit.inverse() * TruncatedSeries.constant(
-        p, CoeffV3.from_plain(p_inv), f.vars, f.bounds
-    )
+    return (f * unit.inverse()).scale_scalar(p_inv)
 
 
 def isogeny_derivative_check(F: FormalGroupLaw) -> bool:

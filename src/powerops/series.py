@@ -5,9 +5,12 @@ whose exponent reaches the per-variable bound is identically discarded, so a
 series is understood modulo those powers.  Binary operations take the
 componentwise minimum of the operand bounds.
 
-Composition and multiplicative inverse split every series into
-plain + v3 * (v3 part); since v3^2 = 0 the expensive inner loops only ever
-run on plain series, which stay tiny in this pipeline.
+Composition splits every series into plain + v3 * (v3 part); since
+v3^2 = 0 the expensive inner loops only ever run on plain series, which
+stay tiny in this pipeline.  The multiplicative inverse is taken only of a
+unit constant plus a v3 part, where v3^2 = 0 gives it in closed form:
+
+    (c0 + v3 f1)^(-1) = c0^(-1) - v3 c0^(-2) f1.
 
 Series reversion (`lagrange_invert`) uses the Lagrange-Buermann formula.
 Write k = y (1 + psi) + v3 k1, so y must divide every plain term of k, and
@@ -300,16 +303,17 @@ class TruncatedSeries:
         return out
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; the constant term must be a unit."""
-        c0 = self.constant_term()
-        if c0.plain.is_zero():
+        """Inverse of c0 + v3 f1 for a unit constant c0, in closed form:
+        c0^(-1) - v3 c0^(-2) f1, exact because v3^2 = 0.  A plain part with
+        any term besides the constant raises ValueError."""
+        c0 = self.constant_term().plain
+        if c0.is_zero():
             raise ValueError("constant term is not a unit")
-        f0, f1 = self.plain_part(), self.v3_part()
-        inv0 = _inverse_plain(f0)
-        out = inv0
-        if f1.terms:
-            out = out - (inv0 * inv0 * f1).times_v3()
-        return out
+        if len(self.plain_part().terms) > 1:
+            raise ValueError("inverse needs a plain part that is a constant")
+        inv = PAdicScalar.from_int(self.p, 1, c0.prec) / c0
+        inv0 = TruncatedSeries.constant(self.p, CoeffV3.from_plain(inv), self.vars, self.bounds)
+        return inv0 - self.v3_part().scale_scalar(inv * inv).times_v3()
 
 
 def series_precision(f: TruncatedSeries) -> int:
@@ -338,23 +342,6 @@ def _substitute_plain(f: TruncatedSeries, var: str, g: TruncatedSeries) -> Trunc
         prev = k
         out = out + slots[k].with_bounds(g.bounds) * power
     return out
-
-
-def _inverse_plain(f: TruncatedSeries) -> TruncatedSeries:
-    c0 = f.constant_term().plain
-    prec = series_precision(f)
-    one = TruncatedSeries.one(f.p, f.vars, f.bounds, prec)
-    v = TruncatedSeries.constant(
-        f.p, CoeffV3.from_plain(PAdicScalar.from_int(f.p, 1, prec) / c0), f.vars, f.bounds
-    )
-    # Newton iteration v <- v(2 - f v), quadratic convergence
-    limit = sum(f.bounds).bit_length() + 2
-    for _ in range(limit):
-        e = one - f * v
-        if e.is_zero():
-            break
-        v = v + v * e
-    return v
 
 
 def lagrange_invert(k: TruncatedSeries, var: str = "y") -> TruncatedSeries:
@@ -526,24 +513,17 @@ def quotient_normalize(f: TruncatedSeries) -> QuotientNormalForm:
         if k == 0:
             constant = constant + c
             continue
-        if not c.plain.is_zero():
-            if c.plain.valuation < 0:
-                raise ValueError(f"non-integral plain coefficient at alpha^{k}")
-            if k < p3:
-                r = c.plain.residue()
-                if r:
-                    plain[k] = (plain.get(k, 0) + r) % p
-                    if plain[k] == 0:
-                        del plain[k]
-            # the excess p * c1 * alpha^k rewrites to -c1 * v3 * alpha^(k+p3-1),
-            # which lies at or beyond alpha^p3 for k >= 1 and is truncated
-        if not c.v3part.is_zero():
-            if c.v3part.valuation < 0:
-                raise ValueError(f"non-integral v3 coefficient at alpha^{k}")
-            if k < p3:
-                r = c.v3part.residue()
-                if r:
-                    v3[k] = (v3.get(k, 0) + r) % p
-                    if v3[k] == 0:
-                        del v3[k]
+        # the excess p * c1 * alpha^k of the plain part rewrites to
+        # -c1 * v3 * alpha^(k+p3-1), which lies at or beyond alpha^p3 for
+        # k >= 1 and is truncated; that of the v3 part is 0
+        for name, part, table in (("plain", c.plain, plain), ("v3", c.v3part, v3)):
+            if part.is_zero():
+                continue
+            if part.valuation < 0:
+                raise ValueError(f"non-integral {name} coefficient at alpha^{k}")
+            r = part.residue()
+            if k < p3 and r:
+                table[k] = (table.get(k, 0) + r) % p
+                if table[k] == 0:
+                    del table[k]
     return QuotientNormalForm(p, constant, plain, v3)

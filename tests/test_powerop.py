@@ -362,6 +362,17 @@ def test_pipeline_builds_angle_p_once(monkeypatch):
     assert counts == {"angle_p_series": 1, "scalar_series": p}
 
 
+@pytest.mark.parametrize("degrees, first", [((0,), 0), ((3, 2), 2)])
+def test_h_polynomial_names_first_non_integral_degree(degrees, first):
+    # a unit alpha^j coefficient of f_n below the cut is not divisible by p
+    p = 3
+    angle = FormalGroupLaw.v3_truncated(p, K).angle_p_series()
+    one = CoeffV3.one(p, K)
+    f_n = TruncatedSeries.from_terms(p, ("alpha",), angle.bounds, {(j,): one for j in degrees})
+    with pytest.raises(ArithmeticError, match=rf"alpha\^{first} coefficient is not divisible by p"):
+        h_polynomial(f_n, angle, 1)
+
+
 def test_h_polynomial_rejects_mismatched_alpha_bound(trace3):
     F, tr = trace3
     p = F.p

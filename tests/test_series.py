@@ -244,8 +244,51 @@ def test_quotient_normalize_flags_non_integral():
     vars, bounds = ("alpha",), (p**3 + 2,)
     a = TruncatedSeries.variable(p, "alpha", vars, bounds, K)
     bad = a.scale(CoeffV3.from_plain(PAdicScalar.from_ratio(p, 1, p, K)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"non-integral plain coefficient at alpha\^1"):
         quotient_normalize(bad)
+
+
+def test_quotient_normalize_flags_non_integral_v3():
+    p = 3
+    vars, bounds = ("alpha",), (p**3 + 2,)
+    a = TruncatedSeries.variable(p, "alpha", vars, bounds, K)
+    bad = a.pow(2).scale(CoeffV3.from_v3(PAdicScalar.from_ratio(p, 1, p, K)))
+    with pytest.raises(ValueError, match=r"non-integral v3 coefficient at alpha\^2"):
+        quotient_normalize(bad)
+
+
+def test_quotient_normalize_v3_residues():
+    # v3 parts reduce mod p like plain parts; p * v3 * alpha^k = 0
+    p = 5
+    vars, bounds = ("alpha",), (p**3 + 2,)
+    a = TruncatedSeries.variable(p, "alpha", vars, bounds, K)
+    f = a.scale(CoeffV3.from_v3(PAdicScalar.from_int(p, 7, K))) + a.pow(3).scale(
+        CoeffV3(PAdicScalar.from_int(p, 2, K), PAdicScalar.from_int(p, 10, K))
+    )
+    n = quotient_normalize(f)
+    assert n.v3 == {1: 2} and n.plain == {3: 2}
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_inverse_of_unit_plus_v3_terms(p):
+    vars, bounds = ("x", "alpha"), (6, 7)
+    x, a = var("x", vars, bounds, p), var("alpha", vars, bounds, p)
+    v3 = CoeffV3.from_v3(PAdicScalar.from_ratio(p, 2, p, K))
+    f1 = (x * a + x.pow(2).mul_int(p) - a.pow(5)).scale(v3)
+    f = const(2, vars, bounds, p) + f1
+    inv = f.inverse()
+    one = TruncatedSeries.one(p, vars, bounds, K)
+    assert f * inv == one and inv * f == one
+    # c0^(-1) - v3 c0^(-2) f1
+    half = CoeffV3.from_plain(PAdicScalar.from_ratio(p, 1, 2, K))
+    assert inv == one.scale(half) - f1.scale(half * half)
+
+
+def test_inverse_rejects_non_constant_plain_part():
+    with pytest.raises(ValueError, match="plain part"):
+        (const(1) + var("alpha")).inverse()
+    with pytest.raises(ValueError, match="not a unit"):
+        var("x").scale(CoeffV3.from_v3(PAdicScalar.from_int(P, 1, K))).inverse()
 
 
 def test_quotient_normalize_idempotent_additive_random():
