@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 
 from .arith import binary_power, prime_factors
 
@@ -45,21 +44,43 @@ def _valuation_of_int(n: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class PAdicScalar:
-    """Element of Q_p with explicit valuation and unit part mod p^prec."""
+class Immutable:
+    """Base of the slotted value types: assignment and deletion raise
+    AttributeError.  A subclass's ``__init__`` writes its fields through the
+    slot descriptors (``Cls.field.__set__``)."""
 
-    p: int
-    valuation: int
-    unit: int
-    prec: int
-    is_zero_flag: bool = field(default=False, repr=False)
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class PAdicScalar(Immutable):
+    """Element of Q_p with explicit valuation and unit part mod p^prec.
+
+    Immutable; `zero(p)` is one shared instance per p.
+    """
+
+    __slots__ = ("p", "valuation", "unit", "prec", "is_zero_flag")
+
+    def __init__(self, p: int, valuation: int, unit: int, prec: int, is_zero_flag: bool = False):
+        _set_p(self, p)
+        _set_valuation(self, valuation)
+        _set_unit(self, unit)
+        _set_prec(self, prec)
+        _set_is_zero_flag(self, is_zero_flag)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, p: int) -> "PAdicScalar":
-        return cls(p, 0, 0, 0, is_zero_flag=True)
+        z = _ZEROS.get(p)
+        if z is None:
+            z = _ZEROS[p] = cls(p, 0, 0, 0, is_zero_flag=True)
+        return z
 
     @classmethod
     def from_int(cls, p: int, n: int, prec: int = DEFAULT_PRECISION) -> "PAdicScalar":
@@ -121,9 +142,11 @@ class PAdicScalar:
         return self + (-other)
 
     def __mul__(self, other: "PAdicScalar") -> "PAdicScalar":
+        if self.is_zero_flag:
+            return self
+        if other.is_zero_flag:
+            return other
         p = self.p
-        if self.is_zero_flag or other.is_zero_flag:
-            return PAdicScalar.zero(p)
         prec = min(self.prec, other.prec)
         return PAdicScalar(
             p, self.valuation + other.valuation, (self.unit * other.unit) % p**prec, prec
@@ -183,6 +206,14 @@ class PAdicScalar:
         return f"{self.p}^{self.valuation}*{self.unit}(+O({self.p}^{self.valuation + self.prec}))"
 
 
+_set_p = PAdicScalar.p.__set__
+_set_valuation = PAdicScalar.valuation.__set__
+_set_unit = PAdicScalar.unit.__set__
+_set_prec = PAdicScalar.prec.__set__
+_set_is_zero_flag = PAdicScalar.is_zero_flag.__set__
+_ZEROS: dict[int, PAdicScalar] = {}
+
+
 def reduce_mod_p(a: PAdicScalar) -> int:
     """Residue in F_p of a p-adic integer."""
     return a.residue()
@@ -237,21 +268,26 @@ def primitive_teichmuller_root(p: int, prec: int = DEFAULT_PRECISION) -> PAdicSc
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoeffV3:
+class CoeffV3(Immutable):
     """Element a + b*v3 with v3^2 = 0.
 
     (a + b v3)(c + d v3) = ac + (ad + bc) v3; the v3 part never feeds back
-    into the plain part.
+    into the plain part.  Immutable; `zero(p)` is one shared instance per p.
     """
 
-    plain: PAdicScalar
-    v3part: PAdicScalar
+    __slots__ = ("plain", "v3part")
+
+    def __init__(self, plain: PAdicScalar, v3part: PAdicScalar):
+        _set_plain(self, plain)
+        _set_v3part(self, v3part)
 
     @classmethod
     def zero(cls, p: int) -> "CoeffV3":
-        z = PAdicScalar.zero(p)
-        return cls(z, z)
+        z = _COEFF_ZEROS.get(p)
+        if z is None:
+            pz = PAdicScalar.zero(p)
+            z = _COEFF_ZEROS[p] = cls(pz, pz)
+        return z
 
     @classmethod
     def one(cls, p: int, prec: int = DEFAULT_PRECISION) -> "CoeffV3":
@@ -274,7 +310,7 @@ class CoeffV3:
         return self.plain.p
 
     def is_zero(self) -> bool:
-        return self.plain.is_zero() and self.v3part.is_zero()
+        return self.plain.is_zero_flag and self.v3part.is_zero_flag
 
     def __add__(self, other: "CoeffV3") -> "CoeffV3":
         return CoeffV3(self.plain + other.plain, self.v3part + other.v3part)
@@ -286,10 +322,13 @@ class CoeffV3:
         return self + (-other)
 
     def __mul__(self, other: "CoeffV3") -> "CoeffV3":
-        return CoeffV3(
-            self.plain * other.plain,
-            self.plain * other.v3part + self.v3part * other.plain,
-        )
+        a, b, c, d = self.plain, self.v3part, other.plain, other.v3part
+        # a zero product adds nothing: 0 + x is x itself
+        if a.is_zero_flag or d.is_zero_flag:
+            return CoeffV3(a * c, b * c)
+        if b.is_zero_flag or c.is_zero_flag:
+            return CoeffV3(a * c, a * d)
+        return CoeffV3(a * c, a * d + b * c)
 
     def mul_int(self, n: int) -> "CoeffV3":
         return CoeffV3(self.plain.mul_int(n), self.v3part.mul_int(n))
@@ -313,3 +352,8 @@ class CoeffV3:
         if self.plain.is_zero():
             return f"({self.v3part!r})*v3"
         return f"{self.plain!r} + ({self.v3part!r})*v3"
+
+
+_set_plain = CoeffV3.plain.__set__
+_set_v3part = CoeffV3.v3part.__set__
+_COEFF_ZEROS: dict[int, CoeffV3] = {}

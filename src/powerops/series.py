@@ -30,10 +30,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from operator import add, lt
 from typing import Iterable, Mapping
 
 from .arith import binary_power
-from .scalar import CoeffV3, PAdicScalar
+from .scalar import CoeffV3, Immutable, PAdicScalar
 
 __all__ = [
     "TruncatedSeries",
@@ -43,12 +44,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, repr=False)
-class TruncatedSeries:
-    vars: tuple[str, ...]
-    bounds: tuple[int, ...]
-    terms: dict[tuple[int, ...], CoeffV3]
-    p: int
+class TruncatedSeries(Immutable):
+    """Immutable: assignment and deletion raise AttributeError.  The terms
+    dict is owned by the series and never changed after construction."""
+
+    __slots__ = ("vars", "bounds", "terms", "p")
+
+    def __init__(
+        self,
+        vars: tuple[str, ...],
+        bounds: tuple[int, ...],
+        terms: dict[tuple[int, ...], CoeffV3],
+        p: int,
+    ):
+        _set_vars(self, vars)
+        _set_bounds(self, bounds)
+        _set_terms(self, terms)
+        _set_p(self, p)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vars, self.bounds, self.terms, self.p) == (
+            other.vars,
+            other.bounds,
+            other.terms,
+            other.p,
+        )
+
+    __hash__ = None
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -110,7 +134,7 @@ class TruncatedSeries:
         for exp, c in pairs:
             if c.is_zero():
                 continue
-            if any(e >= b for e, b in zip(exp, bounds)):
+            if not all(map(lt, exp, bounds)):
                 continue
             if exp in out:
                 c = out[exp] + c
@@ -187,7 +211,7 @@ class TruncatedSeries:
     def _merge_bounds(self, other: "TruncatedSeries") -> tuple[int, ...]:
         if self.vars != other.vars:
             raise ValueError(f"incompatible variable sets {self.vars} vs {other.vars}")
-        return tuple(min(a, b) for a, b in zip(self.bounds, other.bounds))
+        return tuple(map(min, self.bounds, other.bounds))
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         bounds = self._merge_bounds(other)
@@ -214,16 +238,19 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         bounds = self._merge_bounds(other)
         out: dict[tuple[int, ...], CoeffV3] = {}
+        get = out.get
+        pairs = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                if any(e >= b for e, b in zip(exp, bounds)):
+            for e2, c2 in pairs:
+                exp = tuple(map(add, e1, e2))
+                if not all(map(lt, exp, bounds)):
                     continue
                 c = c1 * c2
                 if c.is_zero():
                     continue
-                if exp in out:
-                    c = out[exp] + c
+                prev = get(exp)
+                if prev is not None:
+                    c = prev + c
                     if c.is_zero():
                         del out[exp]
                         continue
@@ -252,14 +279,25 @@ class TruncatedSeries:
     def pow(self, n: int) -> "TruncatedSeries":
         """self^n.  A power whose every term would pass a bound is returned as
         0 without a product: that is exact, since truncation is the quotient
-        by a monomial ideal."""
+        by a monomial ideal.  A one-term series c*x^e powers only its
+        coefficient, c^n at x^(n*e), by the same ladder from the same one,
+        so the digits are those of the generic series ladder."""
         if n >= 1 and self.terms:
             least = [min(e) for e in zip(*self.terms)]  # per variable
             lowest = min(sum(e) for e in self.terms)  # total degree
             top = sum(b - 1 for b in self.bounds)  # largest total degree kept
             if any(n * d >= b for d, b in zip(least, self.bounds)) or n * lowest > top:
                 return TruncatedSeries.zero(self.p, self.vars, self.bounds)
-        one = TruncatedSeries.one(self.p, self.vars, self.bounds, series_precision(self))
+        prec = series_precision(self)
+        if len(self.terms) == 1:
+            # for n >= 1, n*e is inside the bounds (checked above), and so is
+            # every exponent the ladder passes through; a zero coefficient on
+            # the way stays zero, as the emptied series would
+            [(e, c)] = self.terms.items()
+            c = binary_power(c, n, CoeffV3.one(self.p, prec), operator.mul)
+            terms = {} if c.is_zero() else {tuple(n * k for k in e): c}
+            return TruncatedSeries(self.vars, self.bounds, terms, self.p)
+        one = TruncatedSeries.one(self.p, self.vars, self.bounds, prec)
         return binary_power(self, n, one, operator.mul)
 
     # -- calculus ----------------------------------------------------------
@@ -326,6 +364,12 @@ def series_precision(f: TruncatedSeries) -> int:
     from .scalar import DEFAULT_PRECISION
 
     return DEFAULT_PRECISION
+
+
+_set_vars = TruncatedSeries.vars.__set__
+_set_bounds = TruncatedSeries.bounds.__set__
+_set_terms = TruncatedSeries.terms.__set__
+_set_p = TruncatedSeries.p.__set__
 
 
 def _substitute_plain(f: TruncatedSeries, var: str, g: TruncatedSeries) -> TruncatedSeries:

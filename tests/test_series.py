@@ -1,14 +1,17 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
+from powerops.arith import binary_power
 from powerops.scalar import CoeffV3, PAdicScalar
 from powerops.series import (
     TruncatedSeries,
     divide_by_alpha_power,
     lagrange_invert,
     quotient_normalize,
+    series_precision,
 )
 
 P = 3
@@ -384,3 +387,30 @@ def test_pow_cut_at_the_bounds_equals_repeated_mul(monkeypatch, bounds, terms, n
     assert f.pow(n) == want
     # a cut power takes no product at all
     assert (products[0] == 0) == cut
+
+
+def _full(f):
+    """Every field of a series, with each coefficient's repr (digits and all)."""
+    return f.vars, f.bounds, f.p, sorted((e, repr(c)) for e, c in f.terms.items())
+
+
+@pytest.mark.parametrize(
+    "vars, bounds, exp, coeff, n",
+    [
+        (("x",), (20,), (1,), (2, 3), 0),  # n = 0 gives the one of the ladder
+        (("x",), (20,), (1,), (2, 3), 1),  # n = 1 is one * c, at min precision
+        (("x",), (20,), (3,), (0, 5), 2),  # v3-only coefficient squared: 0
+        (("x",), (30,), (1,), (1, "v3/p"), 9),  # 1 + (v3/p) x, valuation -1
+        (("x",), (30,), (3,), (0, "v3/p"), 1),  # (v3/p) x^3 alone
+        (("x",), (10,), (2,), (7, 1), 5),  # 2 * 5 lands exactly on the bound: 0
+        (("x", "alpha"), (10, 12), (1, 2), (4, 2), 3),  # two variables
+        (("x", "alpha"), (10, 12), (2, 3), (5, 0), 4),  # alpha^12 on its bound: 0
+    ],
+)
+def test_monomial_pow_equals_series_ladder(vars, bounds, exp, coeff, n):
+    plain, v3 = coeff
+    a = PAdicScalar(P, 0, plain, 5) if plain else PAdicScalar.zero(P)
+    b = PAdicScalar(P, -1, 1, K) if v3 == "v3/p" else PAdicScalar.from_int(P, v3, K)
+    f = TruncatedSeries(vars, bounds, {exp: CoeffV3(a, b)}, P)
+    one = TruncatedSeries.one(P, vars, bounds, series_precision(f))
+    assert _full(f.pow(n)) == _full(binary_power(f, n, one, operator.mul))
