@@ -405,19 +405,19 @@ def _apply_q_to_class(r: int, cls: SymmetricClass, p: int) -> SymmetricClass:
     return out
 
 
-def verify_mudl(p: int, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> PropositionReport:
+def verify_mudl(p: int, seed: int = 0) -> PropositionReport:
     """Six identities for N_(p-1) in the b-generators.
 
     Scalar-multiple identities (1, 2, 3, 5, 6) are decided by exact
     comparison of canonical Newton monomials (sound: power sums with index
     coprime to p are algebraically independent).  The product identity 4 is
     expanded exactly at p = 3.  At p >= 5 it is labelled
-    sampled(samples, F_p^4), but `_equal_sampled` returns as soon as
+    sampled(DEFAULT_SAMPLES, F_p^4), but `_equal_sampled` returns as soon as
     lhs - rhs is the zero Newton polynomial, which it is at every prime in
     scope, so no point is evaluated: the check is decided by Newton-monomial
     cancellation.  Only a nonzero difference would be evaluated over
-    F_(p^4), with failure probability below (degree / p^4)^samples < 2^-30
-    at the default parameters.
+    F_(p^4), with failure probability below (degree / p^4)^DEFAULT_SAMPLES
+    < 2^-30.
     """
     rep = PropositionReport(p, "b")
     half = (p + 1) // 2  # 1/2 mod p
@@ -444,8 +444,8 @@ def verify_mudl(p: int, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> Propos
         method4 = "exact-expansion"
     else:
         fld = GaloisField(p, _EXT_DEGREE)
-        ok4 = _equal_sampled(lhs, rhs, samples, random.Random(seed), fld)
-        method4 = f"sampled({samples}, F_{p}^{_EXT_DEGREE})"
+        ok4 = _equal_sampled(lhs, rhs, DEFAULT_SAMPLES, random.Random(seed), fld)
+        method4 = f"sampled({DEFAULT_SAMPLES}, F_{p}^{_EXT_DEGREE})"
     rep.add("q_on_power_top", ok4, method4)
 
     inner = kochman_q(p, n1, "b", p)

@@ -59,37 +59,18 @@ __all__ = [
 ]
 
 
-def _project(f: TruncatedSeries, vars: tuple[str, ...]) -> TruncatedSeries:
-    """Forget variables that no longer occur (their exponents must be 0)."""
-    keep = [f.index(v) for v in vars]
-    drop = [i for i in range(len(f.vars)) if i not in keep]
-    out = {}
-    for exp, c in f.terms.items():
-        if any(exp[i] != 0 for i in drop):
-            raise ValueError("projection would lose terms")
-        out[tuple(exp[i] for i in keep)] = c
-    return TruncatedSeries.from_terms(
-        f.p, vars, tuple(f.bounds[i] for i in keep), out
-    )
-
-
 def _lift(f: TruncatedSeries, vars: tuple[str, ...], bounds: tuple[int, ...]) -> TruncatedSeries:
-    """Embed into a larger variable tuple."""
-    pos = [vars.index(v) for v in f.vars]
-    out = {}
+    """f re-embedded in the variable tuple `vars` at `bounds`.  A variable of
+    f missing from `vars` is dropped; a term where it has a nonzero exponent
+    raises ValueError."""
+    pos = [f.vars.index(v) if v in f.vars else None for v in vars]
+    drop = [j for j, v in enumerate(f.vars) if v not in vars]
+    terms = []
     for exp, c in f.terms.items():
-        e = [0] * len(vars)
-        for j, v in enumerate(exp):
-            e[pos[j]] = v
-        out[tuple(e)] = c
-    return TruncatedSeries.from_terms(f.p, vars, bounds, out)
-
-
-def _unit_and_shift(chi: TruncatedSeries, var: str = "alpha") -> tuple[int, TruncatedSeries]:
-    """Write chi = alpha^d * u with u a unit; returns (d, u)."""
-    i = chi.index(var)
-    d = min(exp[i] for exp in chi.terms)
-    return d, divide_by_alpha_power(chi, d, var)
+        if any(exp[j] for j in drop):
+            raise ValueError("projection would lose terms")
+        terms.append((tuple(0 if j is None else exp[j] for j in pos), c))
+    return TruncatedSeries.from_terms(f.p, vars, bounds, terms)
 
 
 def divide_by_series_power(
@@ -98,7 +79,8 @@ def divide_by_series_power(
     """Exact division f / chi^n where chi = alpha^d * unit."""
     if n == 0:
         return f
-    d, u = _unit_and_shift(chi, var)
+    d = min(chi.degrees(var))
+    u = divide_by_alpha_power(chi, d, var)
     chiv = _lift(u, f.vars, f.bounds) if u.vars != f.vars else u
     out = divide_by_alpha_power(f, n * d, var)
     return out * chiv.pow(n).inverse()
@@ -181,7 +163,7 @@ def k_series(g: TruncatedSeries, chi: TruncatedSeries) -> TruncatedSeries:
     chi3 = _lift(chi, vars, bounds)
     subbed = lifted.substitute("x", chi3 * y)
     k3 = divide_by_series_power(subbed, chi3, 2)
-    return _project(k3, ("y", "alpha"))
+    return _lift(k3, ("y", "alpha"), (xb, ab))
 
 
 @dataclass
@@ -234,7 +216,7 @@ def _log_derivative_of(log: Logarithm, w: TruncatedSeries) -> TruncatedSeries:
 def f_coefficient(trace: PipelineTrace, n: int) -> TruncatedSeries:
     """The coefficient of y^n in (log)'(chi k^(-1)) * (k^(-1))', in alpha only."""
     prod = trace.f_source
-    return _project(prod.coefficient("y", n), ("alpha",))
+    return _lift(prod.coefficient("y", n), ("alpha",), (prod.bounds[prod.index("alpha")],))
 
 
 def h_polynomial(f_n: TruncatedSeries, angle: TruncatedSeries, n: int) -> TruncatedSeries:

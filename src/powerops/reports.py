@@ -112,7 +112,7 @@ def suite_powerop(p: int, precision: int = DEFAULT_PRECISION) -> SuiteReport:
     t0 = time.perf_counter()
     chi = F.euler_class()
     expected_chi = -TruncatedSeries.variable(p, "alpha", ("alpha",), chi.bounds, precision).pow(p - 1)
-    rec.add("euler_class", chi == expected_chi, "-alpha^(p-1)", _series_str(chi), t0)
+    rec.add("euler_class", chi == expected_chi, "-alpha^(p-1)", repr(chi), t0)
 
     t0 = time.perf_counter()
     angle = F.angle_p_series()
@@ -121,7 +121,7 @@ def suite_powerop(p: int, precision: int = DEFAULT_PRECISION) -> SuiteReport:
         "angle_p_series",
         angle == expected_angle,
         "p - (p^(p^3-1)-1) v3 alpha^(p^3-1)",
-        _series_str(angle),
+        repr(angle),
         t0,
     )
 
@@ -155,12 +155,6 @@ def _expected_angle(F: FormalGroupLaw) -> TruncatedSeries:
     return TruncatedSeries.from_terms(p, ("alpha",), (ab,), terms)
 
 
-def _series_str(f: TruncatedSeries, limit: int = 4) -> str:
-    items = sorted(f.terms)[:limit]
-    bits = [f"alpha^{e[0] if len(e) == 1 else e}" for e in items]
-    return " + ".join(bits) + ("" if len(f.terms) <= limit else " + ...")
-
-
 def _proposition_suite(name: str, p: int, result: mu_homology.PropositionReport) -> SuiteReport:
     """A suite report of the Newton-class identities, each with its own time."""
     rep = SuiteReport(name, p)
@@ -175,8 +169,7 @@ def suite_stdl(p: int) -> SuiteReport:
 
 
 def suite_mudl(p: int, seed: int = 0) -> SuiteReport:
-    result = mu_homology.verify_mudl(p, samples=mu_homology.DEFAULT_SAMPLES, seed=seed)
-    return _proposition_suite("mudl", p, result)
+    return _proposition_suite("mudl", p, mu_homology.verify_mudl(p, seed=seed))
 
 
 def suite_relation(p: int) -> SuiteReport:

@@ -5,6 +5,11 @@ whose exponent reaches the per-variable bound is identically discarded, so a
 series is understood modulo those powers.  Binary operations take the
 componentwise minimum of the operand bounds.
 
+Every sum of terms goes through `from_terms`, which merges equal exponents,
+drops zeros and cuts at the bounds; every per-coefficient operation goes
+through `_map`, which drops the zeros it makes.  Only `__mul__` keeps its
+own loop, because it is the hot path.
+
 Composition splits every series into plain + v3 * (v3 part); since
 v3^2 = 0 the expensive inner loops only ever run on plain series, which
 stay tiny in this pipeline.  The multiplicative inverse is taken only of a
@@ -30,11 +35,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from operator import add, lt
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .arith import binary_power
-from .scalar import CoeffV3, Immutable, PAdicScalar
+from .scalar import DEFAULT_PRECISION, CoeffV3, Immutable, PAdicScalar
 
 __all__ = [
     "TruncatedSeries",
@@ -183,28 +189,24 @@ class TruncatedSeries(Immutable):
 
     # -- v3 splitting ------------------------------------------------------
 
-    def plain_part(self) -> "TruncatedSeries":
+    def _map(self, fn: Callable[[CoeffV3], CoeffV3]) -> "TruncatedSeries":
+        """fn applied to every coefficient, keeping the nonzero results."""
         out = {}
         for exp, c in self.terms.items():
-            if not c.plain.is_zero():
-                out[exp] = CoeffV3.from_plain(c.plain)
+            v = fn(c)
+            if not v.is_zero():
+                out[exp] = v
         return TruncatedSeries(self.vars, self.bounds, out, self.p)
+
+    def plain_part(self) -> "TruncatedSeries":
+        return self._map(lambda c: CoeffV3.from_plain(c.plain))
 
     def v3_part(self) -> "TruncatedSeries":
         """Series of v3-coefficients (returned as plain coefficients)."""
-        out = {}
-        for exp, c in self.terms.items():
-            if not c.v3part.is_zero():
-                out[exp] = CoeffV3.from_plain(c.v3part)
-        return TruncatedSeries(self.vars, self.bounds, out, self.p)
+        return self._map(lambda c: CoeffV3.from_plain(c.v3part))
 
     def times_v3(self) -> "TruncatedSeries":
-        out = {}
-        for exp, c in self.terms.items():
-            t = c.times_v3()
-            if not t.is_zero():
-                out[exp] = t
-        return TruncatedSeries(self.vars, self.bounds, out, self.p)
+        return self._map(CoeffV3.times_v3)
 
     # -- ring operations ---------------------------------------------------
 
@@ -215,22 +217,12 @@ class TruncatedSeries(Immutable):
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         bounds = self._merge_bounds(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            if exp in out:
-                s = out[exp] + c
-                if s.is_zero():
-                    del out[exp]
-                else:
-                    out[exp] = s
-            else:
-                out[exp] = c
-        return TruncatedSeries.from_terms(self.p, self.vars, bounds, out)
+        return TruncatedSeries.from_terms(
+            self.p, self.vars, bounds, chain(self.terms.items(), other.terms.items())
+        )
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.vars, self.bounds, {e: -c for e, c in self.terms.items()}, self.p
-        )
+        return self._map(operator.neg)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
@@ -258,23 +250,13 @@ class TruncatedSeries(Immutable):
         return TruncatedSeries(self.vars, bounds, out, self.p)
 
     def scale(self, c: CoeffV3) -> "TruncatedSeries":
-        out = {}
-        for exp, a in self.terms.items():
-            v = a * c
-            if not v.is_zero():
-                out[exp] = v
-        return TruncatedSeries(self.vars, self.bounds, out, self.p)
+        return self._map(lambda a: a * c)
 
     def scale_scalar(self, a: PAdicScalar) -> "TruncatedSeries":
         return self.scale(CoeffV3.from_plain(a))
 
     def mul_int(self, n: int) -> "TruncatedSeries":
-        out = {}
-        for exp, c in self.terms.items():
-            v = c.mul_int(n)
-            if not v.is_zero():
-                out[exp] = v
-        return TruncatedSeries(self.vars, self.bounds, out, self.p)
+        return self._map(lambda c: c.mul_int(n))
 
     def pow(self, n: int) -> "TruncatedSeries":
         """self^n.  A power whose every term would pass a bound is returned as
@@ -306,16 +288,12 @@ class TruncatedSeries(Immutable):
         """Formal partial derivative; the bound in `var` drops by one."""
         i = self.index(var)
         bounds = tuple(b - 1 if j == i and b > 0 else b for j, b in enumerate(self.bounds))
-        out = {}
-        for exp, c in self.terms.items():
-            n = exp[i]
-            if n == 0:
-                continue
-            v = c.mul_int(n)
-            if v.is_zero():
-                continue
-            out[exp[:i] + (n - 1,) + exp[i + 1 :]] = v
-        return TruncatedSeries.from_terms(self.p, self.vars, bounds, out)
+        terms = (
+            (exp[:i] + (exp[i] - 1,) + exp[i + 1 :], c.mul_int(exp[i]))
+            for exp, c in self.terms.items()
+            if exp[i]
+        )
+        return TruncatedSeries.from_terms(self.p, self.vars, bounds, terms)
 
     # -- composition and inversion ------------------------------------------
 
@@ -361,8 +339,6 @@ def series_precision(f: TruncatedSeries) -> int:
             return c.plain.prec
         if not c.v3part.is_zero():
             return c.v3part.prec
-    from .scalar import DEFAULT_PRECISION
-
     return DEFAULT_PRECISION
 
 
@@ -502,17 +478,7 @@ class QuotientNormalForm:
             PAdicScalar.from_int(self.p, self.v3.get(k, 0), 1),
         )
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QuotientNormalForm):
-            return NotImplemented
-        return (
-            self.p == other.p
-            and self.constant == other.constant
-            and self.plain == other.plain
-            and self.v3 == other.v3
-        )
-
-    __hash__ = None
+    __hash__ = None  # plain and v3 are dicts
 
     def render(self) -> str:
         """Human-readable form with signed residues, e.g. '-v3 * alpha^104'."""

@@ -181,6 +181,24 @@ def test_chi_squared_k_equals_g_of_chi_y(trace3):
     assert lhs == chi3 * chi3 * k3
 
 
+def test_lift_drops_only_zero_exponents():
+    from powerops.powerop import _lift
+
+    p = 3
+    vars, bounds = ("x", "alpha"), (4, 6)
+    a = TruncatedSeries.variable(p, "alpha", vars, bounds, K)
+    x = TruncatedSeries.variable(p, "x", vars, bounds, K)
+    assert _lift(a.pow(2), ("alpha",), (6,)) == TruncatedSeries.variable(
+        p, "alpha", ("alpha",), (6,), K
+    ).pow(2)
+    with pytest.raises(ValueError, match="projection would lose terms"):
+        _lift(x * a, ("alpha",), (6,))
+    # the reverse embedding fills the new variable with exponent 0
+    assert _lift(_lift(a, ("alpha",), (6,)), ("y", "alpha"), (3, 6)).terms == {
+        (0, 1): CoeffV3.one(p, K)
+    }
+
+
 def test_f_and_h_goldens(trace3):
     F, tr = trace3
     p = F.p

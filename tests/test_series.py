@@ -414,3 +414,36 @@ def test_monomial_pow_equals_series_ladder(vars, bounds, exp, coeff, n):
     f = TruncatedSeries(vars, bounds, {exp: CoeffV3(a, b)}, P)
     one = TruncatedSeries.one(P, vars, bounds, series_precision(f))
     assert _full(f.pow(n)) == _full(binary_power(f, n, one, operator.mul))
+
+
+def test_ring_operations_reject_different_variable_tuples():
+    xa = var("x")
+    xb = var("x", vars=("x", "beta"))
+    for op in (operator.add, operator.mul):
+        with pytest.raises(ValueError, match="incompatible variable sets"):
+            op(xa, xb)
+
+
+def test_substitute_rejects_mismatched_variables_and_constant_term():
+    x, a = var("x"), var("alpha")
+    f = x + x.pow(2)
+    with pytest.raises(ValueError, match="incompatible variable sets"):
+        f.substitute("x", var("x", vars=("x", "beta")))
+    with pytest.raises(ValueError, match="zero constant term"):
+        f.substitute("x", a + const(1))
+
+
+def test_divide_by_alpha_power_rejects_negative_shift():
+    a = var("alpha")
+    with pytest.raises(ValueError, match="negative shift"):
+        divide_by_alpha_power(a, -1)
+
+
+def test_sum_keeps_first_operand_order_and_drops_cancellations():
+    x, a = var("x"), var("alpha")
+    f = x + a.pow(2) + x.pow(3) + a.pow(5)
+    g = (a - x).with_bounds((10, 4))
+    s = f + g
+    # x cancels, and alpha^5 is past the merged alpha bound 4
+    assert list(s.terms) == [(0, 2), (3, 0), (0, 1)]
+    assert s.bounds == (10, 4)

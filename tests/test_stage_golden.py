@@ -1,6 +1,6 @@
 """Every pipeline stage, byte for byte, against tests/golden/stages_p3_p5.json.
 
-For p in {3, 5}, i in {2, p} and K in {2, 8} the golden holds each
+For p in {3, 5}, i in {2, p} and K in {2, 8, 12} the golden holds each
 `PipelineTrace` stage (chi, angle_p, g, k, k_inverse, ell_prime_term,
 f_source, f_n, h_n) as its bounds and its sorted [exponent,
 repr(coefficient)] pairs, precision digits included, plus
@@ -11,8 +11,10 @@ The file was written by running this module as a script,
 
     PYTHONPATH=src python tests/test_stage_golden.py
 
-on the commit before the scalar and series types became slotted classes;
-rerun it only for a change that is meant to alter a stage, and say so.
+on the commit before the scalar and series types became slotted classes,
+and extended to K = 12 on the commit before the series layer was folded
+onto one merge and one coefficient map; rerun it only for a change that
+is meant to alter a stage, and say so.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ def stage_table() -> dict:
     out = {}
     for p in (3, 5):
         for i in (2, p):
-            for K in (2, 8):
+            for K in (2, 8, 12):
                 res = power_operation_value(FormalGroupLaw.v3_truncated(p, K), i)
                 entry = {"value": res.value.render()}
                 for name in STAGES:

@@ -4,7 +4,7 @@ equality a frozen dataclass would have generated."""
 import pytest
 
 from powerops.scalar import CoeffV3, PAdicScalar
-from powerops.series import TruncatedSeries
+from powerops.series import QuotientNormalForm, TruncatedSeries
 
 P, K = 5, 8
 
@@ -64,3 +64,14 @@ def test_series_equality_compares_every_field():
     assert (x == 0) is False
     assert x != 0
     assert TruncatedSeries.zero(P, vars, bounds) != 0
+
+
+def test_normal_form_equality_compares_every_field_and_is_unhashable():
+    def form(v3):
+        return QuotientNormalForm(P, CoeffV3.from_int(P, 2, K), {4: 1}, v3)
+
+    assert form({7: 3}) == form({7: 3})
+    assert form({7: 3}) != form({7: 2})
+    assert form({7: 3}) != QuotientNormalForm(P, CoeffV3.from_int(P, 2, K), {4: 2}, {7: 3})
+    with pytest.raises(TypeError):
+        hash(form({}))
