@@ -282,7 +282,8 @@ def suite_properties(p: int, precision: int = DEFAULT_PRECISION, seed: int = 0) 
     )
 
     # the closed-form g stage against the generic product of formal sums;
-    # that product cancels v3 terms to 0 below 6 digits, so it runs at K >= 8
+    # that product agrees from K = 2 at p = 3 and K = 3 at p = 5, 7, 11 (below,
+    # scalar addition cancels v3 terms to an exact 0), so it runs at K >= 8
     t0 = time.perf_counter()
     Fg = FormalGroupLaw.v3_truncated(p, max(precision, DEFAULT_PRECISION))
     # x bound 2p+1 keeps the j = 1 and j = p terms; the pipeline's p^2 costs 7.4 s at p = 11

@@ -295,10 +295,16 @@ class CoeffV3(Immutable):
 
     @classmethod
     def from_plain(cls, a: PAdicScalar) -> "CoeffV3":
+        """a + 0*v3; a zero scalar gives the shared `zero(p)`."""
+        if a.is_zero_flag:
+            return cls.zero(a.p)
         return cls(a, PAdicScalar.zero(a.p))
 
     @classmethod
     def from_v3(cls, b: PAdicScalar) -> "CoeffV3":
+        """0 + b*v3; a zero scalar gives the shared `zero(p)`."""
+        if b.is_zero_flag:
+            return cls.zero(b.p)
         return cls(PAdicScalar.zero(b.p), b)
 
     @classmethod

@@ -261,9 +261,16 @@ class TruncatedSeries(Immutable):
     def pow(self, n: int) -> "TruncatedSeries":
         """self^n.  A power whose every term would pass a bound is returned as
         0 without a product: that is exact, since truncation is the quotient
-        by a monomial ideal.  A one-term series c*x^e powers only its
-        coefficient, c^n at x^(n*e), by the same ladder from the same one,
-        so the digits are those of the generic series ladder."""
+        by a monomial ideal.
+
+        A series of one or two terms a*x^e + b*x^f is raised by the binomial
+        theorem, sum_j C(n, j) a^(n-j) b^j x^((n-j)e + jf), over only the j
+        whose exponent lies inside the bounds (a one-term series is its
+        j = 0 term).  a^(n-j) and b^j are taken by `binary_power` from the
+        one the series ladder starts from, and C(n, j) is multiplied in as an
+        exact integer, so a one-term power has the digits of the series
+        ladder and a two-term power keeps at least every digit the series
+        ladder gets right.  Three or more terms take that ladder."""
         if n >= 1 and self.terms:
             least = [min(e) for e in zip(*self.terms)]  # per variable
             lowest = min(sum(e) for e in self.terms)  # total degree
@@ -271,16 +278,31 @@ class TruncatedSeries(Immutable):
             if any(n * d >= b for d, b in zip(least, self.bounds)) or n * lowest > top:
                 return TruncatedSeries.zero(self.p, self.vars, self.bounds)
         prec = series_precision(self)
-        if len(self.terms) == 1:
-            # for n >= 1, n*e is inside the bounds (checked above), and so is
-            # every exponent the ladder passes through; a zero coefficient on
-            # the way stays zero, as the emptied series would
-            [(e, c)] = self.terms.items()
-            c = binary_power(c, n, CoeffV3.one(self.p, prec), operator.mul)
-            terms = {} if c.is_zero() else {tuple(n * k for k in e): c}
-            return TruncatedSeries(self.vars, self.bounds, terms, self.p)
-        one = TruncatedSeries.one(self.p, self.vars, self.bounds, prec)
-        return binary_power(self, n, one, operator.mul)
+        if not 1 <= len(self.terms) <= 2:
+            one = TruncatedSeries.one(self.p, self.vars, self.bounds, prec)
+            return binary_power(self, n, one, operator.mul)
+        one = CoeffV3.one(self.p, prec)
+        (e, a), *rest = self.terms.items()
+        # a one-term series is the j = 0 term of a*x^e + 1*x^e
+        f, b = rest[0] if rest else (e, one)
+        lo, hi = 0, (n if rest else 0)
+        for u, w, bound in zip(e, f, self.bounds):
+            # (n-j) u + j w < bound, that is j (w - u) < bound - n u; where
+            # w = u the cut above has checked n u < bound
+            if w > u:
+                hi = min(hi, (bound - n * u - 1) // (w - u))
+            elif w < u:
+                lo = max(lo, (bound - n * u) // (w - u) + 1)
+        terms = []
+        for j in range(lo, hi + 1):
+            # a product by b^0 or by C(n, j) = 1 would change no digit
+            c = binary_power(a, n - j, one, operator.mul)
+            if j:
+                c = c * binary_power(b, j, one, operator.mul)
+            k = math.comb(n, j)
+            exp = tuple((n - j) * u + j * w for u, w in zip(e, f))
+            terms.append((exp, c if k == 1 else c.mul_int(k)))
+        return TruncatedSeries.from_terms(self.p, self.vars, self.bounds, terms)
 
     # -- calculus ----------------------------------------------------------
 

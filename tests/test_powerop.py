@@ -83,6 +83,17 @@ def test_g_closed_form_matches_formal_sums(p):
                 assert all(s.is_zero() or s.prec == K for s in (c.plain, c.v3part)), c
 
 
+@pytest.mark.parametrize("p, least", [(3, 2), (5, 3)])
+def test_formal_sums_oracle_from_its_least_precision(p, least):
+    # binomial series powers under exp_of keep the digits the series ladder
+    # cancelled to 0, so the oracle agrees from K = 2 at p = 3 and K = 3 at
+    # p = 5, where it used to need K = 5 and 6
+    bounds = (2 * p + 1, p**3 + p)
+    for k in range(least, K + 1):
+        F = FormalGroupLaw.v3_truncated(p, k)
+        assert _g_by_formal_sums(F, *bounds) == g_series(F, *bounds), k
+
+
 def test_g_series_rejects_out_of_scope_logarithm():
     # a v3 correction at x^2 breaks [w^i](alpha) = w^i alpha, since 2 != 1 mod 4
     p = 5
@@ -288,7 +299,7 @@ def test_power_operation_rejects_one_digit():
     assert power_operation_value(FormalGroupLaw.v3_truncated(3, 2), 2).value.v3 == {22: 1}
 
 
-@pytest.mark.parametrize("p", [11, 13, 17])
+@pytest.mark.parametrize("p", [11, 13, 17, 19, 23])
 def test_precision_stability_large_primes(p):
     # the engine's own K = 8 vs K = 12 check, and the closed-form g oracle
     checks = {c.name: c.status for c in reports.suite_properties(p).checks}

@@ -1,8 +1,10 @@
+import math
 import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from powerops.arith import binary_power
 from powerops.scalar import CoeffV3, PAdicScalar
@@ -367,6 +369,8 @@ def test_mul_commutative_associative_random():
         ((11, 12), {(2, 1): 1, (3, 0): 2}, 5, False),  # ... = x bound - 1
         ((4, 4), {(2, 0): 1, (0, 2): 1}, 4, True),  # n * least degree > 3 + 3
         ((4, 4), {(1, 0): 1, (0, 1): 1}, 6, False),  # n * least degree = 3 + 3
+        ((4, 4), {(2, 0): 1, (1, 1): 2, (0, 2): 1}, 4, True),  # three terms, 8 > 3 + 3
+        ((4, 4), {(1, 0): 1, (0, 1): 1, (1, 1): 2}, 6, False),  # three terms, 6 = 3 + 3
     ],
 )
 def test_pow_cut_at_the_bounds_equals_repeated_mul(monkeypatch, bounds, terms, n, cut):
@@ -385,8 +389,9 @@ def test_pow_cut_at_the_bounds_equals_repeated_mul(monkeypatch, bounds, terms, n
 
     monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
     assert f.pow(n) == want
-    # a cut power takes no product at all
-    assert (products[0] == 0) == cut
+    # a cut power takes no product at all, and neither does a power of two
+    # terms (the binomial theorem); three or more terms climb the ladder
+    assert (products[0] == 0) == (cut or len(terms) <= 2)
 
 
 def _full(f):
@@ -414,6 +419,101 @@ def test_monomial_pow_equals_series_ladder(vars, bounds, exp, coeff, n):
     f = TruncatedSeries(vars, bounds, {exp: CoeffV3(a, b)}, P)
     one = TruncatedSeries.one(P, vars, bounds, series_precision(f))
     assert _full(f.pow(n)) == _full(binary_power(f, n, one, operator.mul))
+
+
+@st.composite
+def two_term_powers(draw):
+    """p, the variables, bounds, two terms ((exponent, (plain, v3)), ...) and n.
+
+    A part is None or (valuation, unit); v3 parts reach valuation -1 (v3/p).
+    Bounds up to 30 against exponents up to 3 and n up to p^3 cut most powers
+    somewhere inside the binomial range, and some of them entirely."""
+    p = draw(st.sampled_from([3, 5]))
+    nvars = draw(st.sampled_from([1, 2]))
+    bounds = draw(st.tuples(*[st.integers(2, 30)] * nvars))
+    exps = st.tuples(*[st.integers(0, min(3, b - 1)) for b in bounds])
+    e1, e2 = draw(st.lists(exps, min_size=2, max_size=2, unique=True))
+    unit = st.tuples(st.integers(1, p - 1), st.integers(0, p**7 - 1)).map(lambda t: t[0] + p * t[1])
+
+    def coeff():
+        plain = draw(st.none() | st.tuples(st.integers(0, 2), unit))
+        v3 = st.tuples(st.integers(-1, 1), unit)
+        v3 = draw(v3 if plain is None else st.none() | v3)
+        return plain, v3
+
+    terms = ((e1, coeff()), (e2, coeff()))
+    n = draw(st.integers(0, 12) | st.just(p**3) | st.integers(1, p * p).map(lambda k: k * p))
+    return p, ("x", "alpha")[:nvars], bounds, terms, n, draw(st.integers(4, 8))
+
+
+def _scalar(p, part, prec):
+    return PAdicScalar.zero(p) if part is None else PAdicScalar(p, part[0], part[1] % p**prec, prec)
+
+
+def _rational(a):
+    return Fraction(0) if a.is_zero() else Fraction(a.p) ** a.valuation * a.unit
+
+
+def _true_digits(a, exact):
+    """a is 0, or a - exact has valuation at least the digits a claims."""
+    if a.is_zero():
+        return True
+    d = _rational(a) - exact
+    if d == 0:
+        return True
+    v = 0
+    num, den = d.numerator, d.denominator
+    while num % a.p == 0:
+        num, v = num // a.p, v + 1
+    while den % a.p == 0:
+        den, v = den // a.p, v - 1
+    return v >= a.valuation + a.prec
+
+
+@settings(max_examples=80, deadline=None)
+@given(two_term_powers())
+@example((3, ("x",), (30,), (((0,), ((0, 1), None)), ((1,), ((0, 1), (-1, 1)))), 27, 8))  # (1 + (1 + v3/p) x)^(p^3)
+@example((3, ("x",), (12,), (((2,), (None, (0, 5))), ((0,), ((1, 2), None))), 9, 6))  # v3-only term, multiple of p
+@example((5, ("x", "alpha"), (7, 30), (((1, 0), ((0, 3), (1, 4))), ((0, 1), ((2, 1), None))), 125, 4))  # two variables
+def test_two_term_pow_keeps_the_ladder_digits(case):
+    """The binomial closed form against the series ladder and the exact expansion.
+
+    Every part the ladder keeps has the same digits in pow(n), at no less
+    precision, and pow(n) keeps every term the ladder keeps.  pow(n) may keep
+    a v3 part the ladder lost: the ladder sums C(n, j) a^(n-j) b^j out of
+    many products and can cancel a v3 part below its digits to an exact 0
+    (seen at 4 to 7 digits, p = 3, n = 27).  So pow(n) is also checked
+    against the exact rational expansion: every digit it claims is true,
+    and its plain parts, which are products only, are 0 exactly when the
+    expansion's are.  Draws keep 4 to 8 digits: below 4, the coefficient
+    powers that both sides take can cancel digits they do not have."""
+    p, vars, bounds, terms, n, prec = case
+    f = TruncatedSeries(
+        vars, bounds, {e: CoeffV3(_scalar(p, a, prec), _scalar(p, b, prec)) for e, (a, b) in terms}, p
+    )
+    got = f.pow(n)
+    one = TruncatedSeries.one(p, vars, bounds, series_precision(f))
+    ladder = binary_power(f, n, one, operator.mul)
+    (e1, c1), (e2, c2) = f.terms.items()
+    a0, a1, b0, b1 = map(_rational, (c1.plain, c1.v3part, c2.plain, c2.v3part))
+    exact = {}
+    for j in range(n + 1):
+        e = tuple((n - j) * u + j * w for u, w in zip(e1, e2))
+        if all(map(operator.lt, e, bounds)):
+            c = math.comb(n, j)
+            v3 = c * (n - j) * a0 ** (n - j - 1) * a1 * b0**j if j < n else 0
+            v3 += c * j * a0 ** (n - j) * b0 ** (j - 1) * b1 if j else 0
+            exact[e] = (c * a0 ** (n - j) * b0**j, v3)
+    assert set(ladder.terms) <= set(got.terms) <= set(exact)
+    for e, (plain, v3) in exact.items():
+        c = got.terms.get(e, CoeffV3.zero(p))
+        assert c.plain.is_zero() == (plain == 0)
+        assert _true_digits(c.plain, plain) and _true_digits(c.v3part, v3), (e, c)
+    for e, theirs in ladder.terms.items():
+        mine = got.terms[e]
+        for a, b in ((mine.plain, theirs.plain), (mine.v3part, theirs.v3part)):
+            if not b.is_zero():
+                assert a == b and a.prec >= b.prec, (e, mine, theirs)
 
 
 def test_ring_operations_reject_different_variable_tuples():

@@ -49,6 +49,10 @@ def test_zeros_are_shared_per_prime():
     assert z.plain is PAdicScalar.zero(5) and z.v3part is PAdicScalar.zero(5)
     assert PAdicScalar.from_int(5, 0) is PAdicScalar.zero(5)
     assert z.is_zero() and repr(z) == "0"
+    # a zero part builds no coefficient of its own
+    assert CoeffV3.from_plain(PAdicScalar.zero(5)) is z
+    assert CoeffV3.from_v3(PAdicScalar.zero(5)) is z
+    assert CoeffV3.from_int(5, 0) is z
 
 
 def test_series_equality_compares_every_field():
