@@ -7,7 +7,9 @@ tuple of ``(variable, exponent)`` pairs sorted by variable; the empty tuple
 is 1.  Every coefficient lies in 1..p-1: the functions below take operands
 in that form and return results in it, so no caller reduces again.
 `poly_mul` collects term pairs on monomials packed into ints, so it merges
-monomial tuples once per distinct product, not once per pair."""
+monomial tuples once per distinct product, not once per pair.  `cartan`
+takes the operation one index at a time, ``q(f, a)`` = Q^a f, and asks for
+it only at the indices its sum can reach."""
 
 from __future__ import annotations
 
@@ -157,61 +159,102 @@ def poly_pow(a: Poly, n: int, p: int) -> Poly:
 def cartan(
     s: int,
     factors: Sequence[tuple[T, int, int]],
-    total: Callable[[T, int], dict[int, Poly]],
+    q: Callable[[T, int], Poly],
     p: int,
 ) -> Poly:
     """Q^s of the product of the f^e, by the Cartan formula: the t^s
     coefficient of prod (sum_a Q^a(f) t^a)^e over the (f, e, floor) in
     ``factors``.
 
-    ``total(f, cap)`` returns ``{a: Q^a f}`` for the nonzero Q^a f with
-    a <= cap, and ``floor`` is the least such a.  Each e is split into
-    base-p digits, f^e = prod_i (f^(p^i))^(d_i), and the total operation of
-    f^(p^i) is the p^i-th Frobenius twist of that of f (indices times p^i).
+    ``q(f, a)`` returns Q^a f, ``{}`` when it is zero, and ``floor`` is the
+    least a with Q^a f nonzero.  Each e is split into base-p digits,
+    f^e = prod_i (f^(p^i))^(d_i), and Q^(a p^i) of f^(p^i) is the p^i-th
+    Frobenius twist of Q^a f (Q^b f^(p^i) is zero unless p^i divides b).
     A block (sum_a T_a t^a)^d with d < p is the sum over non-decreasing
     multisets of d indices of d!/prod c_a! times the product of the T_a; the
     weight is never 0 mod p.  The blocks are combined toward exactly s,
     memoized on (block, remaining degree), and only index sums that can
     still reach s are formed.
+
+    Q^a f is asked for only at the indices a pick can reach.  Each block
+    keeps the sorted nonzero indices found so far and extends them one index
+    at a time, only while the next one still fits under the degree left; the
+    last index of the last block is not scanned but solved for, since it
+    takes all the degree left.  So every asked a satisfies
+    floor <= a <= (s - least) // p^i + floor, least the least index sum of
+    the product; a single factor with e = 1 asks for Q^s f alone; and within
+    one call q is asked, and the twist taken, once per (block, a).
     """
     blocks = []  # (f, p^i, digit d_i, floor)
     for f, e, floor in factors:
-        q = 1
+        qi = 1
         while e:
             e, d = divmod(e, p)
             if d:
-                blocks.append((f, q, d, floor))
-            q *= p
+                blocks.append((f, qi, d, floor))
+            qi *= p
     # least[j]: least index sum of blocks[j:]
     least = [0] * (len(blocks) + 1)
     for j in range(len(blocks) - 1, -1, -1):
-        _, q, d, floor = blocks[j]
-        least[j] = least[j + 1] + q * d * floor
+        _, qi, d, floor = blocks[j]
+        least[j] = least[j + 1] + qi * d * floor
     if least[0] > s:
         return {}
-    series = []  # per block: sorted (index, T_index) of the twisted total operation
-    for f, q, d, floor in blocks:
-        # one copy may rise above its own floor by the slack over all floors
-        cap = (s - least[0]) // q + floor
-        series.append(sorted((a * q, t if q == 1 else frobenius(t, q)) for a, t in total(f, cap).items()))
+    twisted: dict[tuple[int, int], Poly] = {}  # (block, a): Q^(a p^i) f^(p^i)
+    found: list[list[tuple[int, Poly]]] = [[] for _ in blocks]  # per block: sorted nonzero (a p^i, term)
+    scanned = [floor for *_, floor in blocks]  # per block: the next a to ask for
+
+    def op(j: int, a: int) -> Poly:
+        key = (j, a)
+        if key not in twisted:
+            f, qi = blocks[j][:2]
+            t = q(f, a)
+            twisted[key] = frobenius(t, qi) if qi > 1 else t
+        return twisted[key]
+
+    def extend(j: int, room: int) -> bool:
+        """Scan block j for its next nonzero index, up to an index of room."""
+        qi, terms = blocks[j][1], found[j]
+        while (a := scanned[j]) * qi <= room:
+            scanned[j] = a + 1
+            if t := op(j, a):
+                terms.append((a * qi, t))
+                return True
+        return False
+
     memo: dict[tuple[int, int], Poly] = {}
+    last = len(blocks) - 1
 
     def rest(j: int, rem: int) -> Poly:
         """The t^rem coefficient of the product of blocks[j:]."""
-        if j == len(blocks):
+        if j > last:
             return {(): 1} if rem == 0 else {}
         key = (j, rem)
         if key in memo:
             return memo[key]
-        terms, d = series[j], blocks[j][2]
+        _, qi, d, _ = blocks[j]
+        terms = found[j]
         acc: Poly = {}
 
         def pick(k: int, start: int, left: int, prod: Poly, weight: int, run: int) -> None:
             # k indices picked, the last at terms[start] (run copies of it),
             # and `left` still to place in this block and the ones after it
-            for n in range(start, len(terms)):
+            if j == last and k == d - 1:
+                # the last index of all is what is left; the room each
+                # earlier pick left keeps it at or above the one before
+                if left % qi or not (t := op(j, left // qi)):
+                    return
+                w = weight * (k + 1) // (run + 1 if k and left == terms[start][0] else 1)
+                for m, v in poly_mul(prod, t, p).items():
+                    acc[m] = acc.get(m, 0) + w * v
+                return
+            # one copy may take at most an even share of what the later
+            # copies and blocks leave over
+            room = (left - least[j + 1]) // (d - k)
+            n = start
+            while n < len(terms) or extend(j, room):
                 a, t = terms[n]
-                if a * (d - k) > left - least[j + 1]:
+                if a > room:
                     break
                 c = run + 1 if n == start else 1
                 w = weight * (k + 1) // c  # d!/prod c_a!, one pick at a time
@@ -220,6 +263,7 @@ def cartan(
                 elif tail := rest(j + 1, left - a):
                     for m, v in poly_mul(poly_mul(prod, t, p), tail, p).items():
                         acc[m] = acc.get(m, 0) + w * v
+                n += 1
 
         pick(0, 0, rem, {(): 1}, 1, 0)
         memo[key] = {m: r for m, c in acc.items() if (r := c % p)}

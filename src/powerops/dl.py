@@ -9,7 +9,10 @@ words Q^{s_1}...Q^{s_k} g applied to even-degree generators.  The action is
     Q^r Q^s = sum_i (-1)^(r+i) C((p-1)(i-s) - 1, pi - r) Q^(r+s-i) Q^i
                          whenever r > p s,
 
-with the Cartan formula across products (`arith.cartan`).  Powers are
+with the Cartan formula across products (`arith.cartan`, which asks
+`_q_factor` for Q^a of a factor only at the indices a term of Q^s can
+use: on one linear factor, Q^s alone, so the Adem recursion straightens
+nothing it does not need).  Powers are
 handled through the total operation: Q_t(uv) = Q_t(u) Q_t(v) with Q_t(u^p)
 the p-th Frobenius twist of Q_t(u), which collapses the composition blowup
 for terms like Q^(p^3+p)((x^(p-1))^p Q^p x).
@@ -55,7 +58,7 @@ class DLAlgebra:
                 raise ValueError(f"generator {name} must have positive even degree")
         self.p = p
         self.generators = dict(generators)
-        self._q_factor_cache: dict[tuple[int, Factor], DLPolynomial] = {}
+        self._q_factor_cache: dict[tuple[int, Factor], dict[Monomial, int]] = {}
         self._q_monomial_cache: dict[tuple[int, Monomial], DLPolynomial] = {}
 
     # -- element constructors ------------------------------------------------
@@ -112,27 +115,28 @@ class DLAlgebra:
 
     # -- internals ----------------------------------------------------------------
 
-    def _q_factor(self, a: int, factor: Factor) -> "DLPolynomial":
-        """Q^a on a single admissible-word factor."""
+    def _q_factor(self, factor: Factor, a: int) -> dict[Monomial, int]:
+        """The terms of Q^a on a single admissible-word factor, ``{}`` when
+        it is zero."""
         key = (a, factor)
         cached = self._q_factor_cache.get(key)
         if cached is not None:
             return cached
         d = self.factor_degree(factor)
         if 2 * a < d:
-            out = self.zero()
+            out = {}
         elif 2 * a == d:
-            out = DLPolynomial(self, {((factor, self.p),): 1})
+            out = {((factor, self.p),): 1}
         else:
             word, g = factor
             if not word or a <= self.p * word[0]:
-                out = DLPolynomial(self, {((((a,) + word, g), 1),): 1})
+                out = {((((a,) + word, g), 1),): 1}
             else:
                 # straighten Q^a Q^(word[0]) by the Adem rule, then push the
                 # outer operation through the normalized tail
                 r, s = a, word[0]
                 tail: Factor = (word[1:], g)
-                out = self.zero()
+                acc = self.zero()
                 p = self.p
                 lo = -(-r // p)  # ceil(r/p)
                 hi = r - (p - 1) * s - 1
@@ -141,21 +145,12 @@ class DLAlgebra:
                     if not c:
                         continue
                     sign = -1 if (r + i) % 2 else 1
-                    inner = self._q_factor(i, tail)
-                    if inner.is_zero():
+                    inner = self._q_factor(tail, i)
+                    if not inner:
                         continue
-                    out = out + self.apply_q(r + s - i, inner) * (sign * c)
+                    acc = acc + self.apply_q(r + s - i, DLPolynomial(self, inner)) * (sign * c)
+                out = acc.terms
         self._q_factor_cache[key] = out
-        return out
-
-    def _total_q_factor(self, factor: Factor, budget: int) -> dict[int, dict[Monomial, int]]:
-        """``{a: terms of Q^a factor}`` for the nonzero Q^a with a <= budget."""
-        d = self.factor_degree(factor)
-        out = {}
-        for a in range(d // 2, budget + 1):
-            qa = self._q_factor(a, factor)
-            if not qa.is_zero():
-                out[a] = qa.terms
         return out
 
     def _q_monomial(self, s: int, mono: Monomial) -> "DLPolynomial":
@@ -163,7 +158,7 @@ class DLAlgebra:
         cached = self._q_monomial_cache.get(key)
         if cached is None:
             factors = [(f, e, self.factor_degree(f) // 2) for f, e in mono]
-            cached = DLPolynomial(self, cartan(s, factors, self._total_q_factor, self.p))
+            cached = DLPolynomial(self, cartan(s, factors, self._q_factor, self.p))
             self._q_monomial_cache[key] = cached
         return cached
 

@@ -206,15 +206,10 @@ def q_on_product(s: int, factors: list[tuple[int, int]], context: str, p: int) -
     """Q^s of the product of N_m^e over the (newton index m, multiplicity e)
     pairs in `factors`, by the Cartan formula; Q^0 leaves a factor as it is."""
 
-    def total(m: int, cap: int) -> dict[int, dict[NewtonMonomial, int]]:
-        out = {0: SymmetricClass.newton(p, context, m).terms}
-        for a in range(m, cap + 1):
-            qa = kochman_q(a, m, context, p)
-            if not qa.is_zero():
-                out[a] = qa.terms
-        return out
+    def q(m: int, a: int) -> dict[NewtonMonomial, int]:
+        return (kochman_q(a, m, context, p) if a else SymmetricClass.newton(p, context, m)).terms
 
-    return SymmetricClass(p, context, cartan(s, [(m, e, 0) for m, e in factors], total, p))
+    return SymmetricClass(p, context, cartan(s, [(m, e, 0) for m, e in factors], q, p))
 
 
 # ---------------------------------------------------------------------------

@@ -113,50 +113,66 @@ def naive_cartan(top, factors, series, p):
     return out
 
 
+# p = 3: f = 0 has indices {1, 3} with Q^2 f zero, and e = 5 = 12 in base 3,
+# so its f^3 block is twisted; the last block's last index is solved for
+SPARSE_FROBENIUS = (
+    3,
+    [(0, 5, 1), (1, 2, 0)],
+    {0: {1: {((1, 1),): 1}, 3: {((2, 1),): 2}}, 1: {0: {((2, 2),): 1}, 2: {((1, 1),): 2, ((2, 1),): 1}}},
+)
+
+
 @settings(max_examples=40, deadline=None)
 @given(prime_and_factors())
+@example(SPARSE_FROBENIUS)
 def test_cartan_matches_naive_expansion(pfs):
     p, factors, series = pfs
     top = sum(e * max(series[f]) for f, e, _ in factors)
     want = naive_cartan(top, factors, series, p)
 
-    def total(f, cap):
-        return {a: t for a, t in series[f].items() if a <= cap}
+    def q(f, a):
+        return series[f].get(a, {})
 
     for s in range(top + 2):
-        got = cartan(s, factors, total, p)
+        got = cartan(s, factors, q, p)
         assert got == want.get(s, {})
         assert reduced(got, p)
 
 
 @settings(max_examples=60, deadline=None)
 @given(prime_and_factors(), st.integers(0, 60))
-@example((5, [(0, 1, 3)], {0: {3: {(): 1}}}), 11)  # e = 1: asked for cap s
+@example((5, [(0, 1, 3)], {0: {3: {(): 1}}}), 11)  # e = 1: asked for Q^s f alone
 @example((3, [(0, 1, 0)], {0: {0: {(): 1}}}), 7)
+@example(SPARSE_FROBENIUS, 12)
 def test_cartan_asks_only_for_reachable_indices(pfs, s):
     """One copy of f^(p^i) can carry index a only if a*p^i plus the least
-    index sum of every other copy stays <= s, so the total operation of f is
-    asked for up to (s - least) // p^i + floor, once per base-p digit of e:
-    for a single f with e = 1, up to s exactly."""
+    index sum of every other copy stays <= s, so the block of f^(p^i) asks
+    for Q^a f only at floor <= a <= (s - least) // p^i + floor, and at most
+    once per index: a given Q^a f is asked for at most as many times as f has
+    blocks reaching a.  A single f with e = 1 is asked for Q^s f alone."""
     p, factors, series = pfs
     calls = []
 
-    def total(f, cap):
-        calls.append((f, cap))
-        return {a: t for a, t in series[f].items() if a <= cap}
+    def q(f, a):
+        calls.append((f, a))
+        return series[f].get(a, {})
 
-    cartan(s, factors, total, p)
+    cartan(s, factors, q, p)
     least = sum(e * floor for _, e, floor in factors)
-    want = []
-    if least <= s:
-        for f, e, floor in factors:
-            q = 1
-            while e:
-                if e % p:
-                    want.append((f, (s - least) // q + floor))
-                e //= p
-                q *= p
-    assert sorted(calls) == sorted(want)
+    caps = {}  # f: the highest index each block of f may ask for
+    for f, e, floor in factors:
+        caps[f], pi = [], 1
+        while e:
+            if e % p:
+                caps[f].append((s - least) // pi + floor)
+            e //= p
+            pi *= p
+    floors = {f: floor for f, _, floor in factors}
+    for f, a in set(calls):
+        assert a >= floors[f]
+        assert calls.count((f, a)) <= sum(a <= cap for cap in caps[f])
+    if len(factors) == 1 and factors[0][1] == 1 and s >= factors[0][2]:
+        assert calls == [(factors[0][0], s)]
 
 
 # exponents at and around the edges of a bit field

@@ -133,6 +133,22 @@ def test_solve_sigma(p):
     assert sol.residual.is_zero()
 
 
+def test_c_i_ask_cartan_only_for_reachable_operations():
+    # the ten one-term c_i = Q^(p^2+pi)(Q^p x) at p = 11: a Cartan call on
+    # one linear factor asks for its own Q^s alone, so the Adem recursion
+    # under apply_q(r+s-i, Q^i x) does not straighten every Q^a up to s
+    # (2 541 Q-monomials when each call built all of them)
+    p = 11
+    A = DLAlgebra(p, {"x": 20, "y": 40})
+    qpx = A.gen("x").q(p)
+    c = [qpx.q(p * p + p * i) for i in range(1, p)]
+    assert [ci.monomials() for ci in c] == [[f"(Q^{p * p + (p - 1) * i} Q^{p + i} x)"] for i in range(1, p)]
+    assert len(A._q_monomial_cache) <= 600
+    sol = solve_sigma(p)
+    assert sol.verified
+    assert sol.sigmas == [1, 9, 3, 7, 5, 5, 7, 3, 9]
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_factorization(p):
     rep = verify_factorization(p)
