@@ -167,9 +167,10 @@ def cartan(
     ``factors``.
 
     ``q(f, a)`` returns Q^a f, ``{}`` when it is zero, and ``floor`` is the
-    least a with Q^a f nonzero.  Each e is split into base-p digits,
-    f^e = prod_i (f^(p^i))^(d_i), and Q^(a p^i) of f^(p^i) is the p^i-th
-    Frobenius twist of Q^a f (Q^b f^(p^i) is zero unless p^i divides b).
+    least a with Q^a f nonzero: half the degree of f, by instability, for
+    both callers.  Each e is split into base-p digits, f^e = prod_i
+    (f^(p^i))^(d_i), and Q^(a p^i) of f^(p^i) is the p^i-th Frobenius twist
+    of Q^a f (Q^b f^(p^i) is zero unless p^i divides b).
     A block (sum_a T_a t^a)^d with d < p is the sum over non-decreasing
     multisets of d indices of d!/prod c_a! times the product of the T_a; the
     weight is never 0 mod p.  The blocks are combined toward exactly s,

@@ -17,6 +17,9 @@ The action on Newton classes is
 
 extended over products by the Cartan formula; the conjugate classes of the
 dual Steenrod algebra enter through N_(p^k - 1)(xi) = -(conjugate of xi_k).
+It obeys the instability rule Q^s x = 0 for 2s < |x|, as `dl.DLAlgebra`
+does: Q^a N_m = 0 for a < m, Q^m N_m = N_m^p, and no Q^0 is the identity
+in positive degree.
 """
 
 from __future__ import annotations
@@ -184,12 +187,10 @@ def newton_expand(m: int, context: str, p: int) -> GenPoly:
 
 
 def kochman_q(r: int, m: int, context: str, p: int) -> SymmetricClass:
-    """Q^r N_m = (-1)^(r+m) C(r-1, m-1) N_(m + r(p-1)); zero below the
-    instability line and the p-th power N_m^p on it."""
+    """Q^r N_m = (-1)^(r+m) C(r-1, m-1) N_(m + r(p-1)); the binomial guard
+    is instability: zero for r < m (r = 0 included), N_m^p at r = m."""
     if r < 0:
         raise ValueError("negative operation index")
-    if r == 0:
-        return SymmetricClass.zero(p, context)
     c = math.comb(r - 1, m - 1) % p if r - 1 >= m - 1 >= 0 else 0
     if not c:
         return SymmetricClass.zero(p, context)
@@ -204,12 +205,10 @@ def xibar(k: int, p: int) -> SymmetricClass:
 
 def q_on_product(s: int, factors: list[tuple[int, int]], context: str, p: int) -> SymmetricClass:
     """Q^s of the product of N_m^e over the (newton index m, multiplicity e)
-    pairs in `factors`, by the Cartan formula; Q^0 leaves a factor as it is."""
-
-    def q(m: int, a: int) -> dict[NewtonMonomial, int]:
-        return (kochman_q(a, m, context, p) if a else SymmetricClass.newton(p, context, m)).terms
-
-    return SymmetricClass(p, context, cartan(s, [(m, e, 0) for m, e in factors], q, p))
+    pairs in `factors`, by the Cartan formula over `kochman_q` with floor m
+    for N_m: Q^a N_m = 0 for a < m (so Q^0 N_m = 0) and Q^m N_m = N_m^p."""
+    floors = [(m, e, m) for m, e in factors]  # N_m has degree 2m
+    return SymmetricClass(p, context, cartan(s, floors, lambda m, a: kochman_q(a, m, context, p).terms, p))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from powerops.arith import binary_power, poly_mul
+from powerops.dl import DLAlgebra
 from powerops.finite_field import GaloisField
 from powerops.mu_homology import (
     SymmetricClass,
@@ -123,18 +124,50 @@ def test_kochman_degree_shift(p):
             assert sum(i * e for i, e in mono) == m + r * (p - 1)
 
 
-def test_q_on_product_single_factor_matches_kochman():
+@pytest.mark.parametrize("s", range(3 * 5 + 1))
+def test_q_on_product_single_factor_matches_kochman(s):
+    # s = 0 included: Q^0 N_4 is 0 by instability, not N_4
     p = 5
-    assert q_on_product(7, [(4, 1)], "b", p) == kochman_q(7, 4, "b", p)
+    assert q_on_product(s, [(4, 1)], "b", p) == kochman_q(s, 4, "b", p)
+
+
+def _dl_image(poly, p):
+    """The image of a class of DLAlgebra(p, {"x": 2(p-1)}) under the map
+    x -> -N_(p-1), so that Q^a x -> -Q^a N_(p-1)."""
+    out = SymmetricClass.zero(p, "b")
+    for mono, c in poly.terms.items():
+        term = SymmetricClass.one(p, "b") * c
+        for (word, _), e in mono:
+            assert len(word) <= 1  # Q^s of a power of x is a product of Q^a x
+            image = kochman_q(word[0], p - 1, "b", p) if word else SymmetricClass.newton(p, "b", p - 1)
+            term = term * (-image).pow(e)
+        out = out + term
+    return out
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
+def test_q_on_product_matches_dl_engine(p):
+    # the Dyer-Lashof engine and the Newton-class action obey one instability
+    # rule: pushing Q^s(x^e) along x -> -N_(p-1) gives (-1)^e Q^s(N_(p-1)^e)
+    alg = DLAlgebra(p, {"x": 2 * (p - 1)})
+    x = alg.gen("x")
+    wrong = []
+    for e in range(1, p + 2):
+        power = x.pow(e)
+        for s in range((e + 2) * p + 3):
+            expected = _dl_image(alg.apply_q(s, power), p)
+            if q_on_product(s, [(p - 1, e)], "b", p) * (-1) ** e != expected:
+                wrong.append((e, s))
+    assert not wrong
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_stdl_all_identities(p):
     rep = verify_stdl(p)
     assert rep.passed, [c.name for c in rep.checks if not c.passed]
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_mudl_all_identities(p):
     rep = verify_mudl(p, seed=0)
     assert rep.passed, [c.name for c in rep.checks if not c.passed]
