@@ -1,24 +1,28 @@
 """The loops the package shares: square-and-multiply powering, the distinct
-prime factors of a small integer, sparse polynomials over F_p, and the
-Cartan formula for power operations on a product.
+prime factors of a small integer, binomial coefficients mod p, sparse
+polynomials over F_p, and the Cartan formula for power operations on a
+product.
 
 A sparse polynomial is a ``{monomial: coefficient}`` dict.  A monomial is a
 tuple of ``(variable, exponent)`` pairs sorted by variable; the empty tuple
 is 1.  Every coefficient lies in 1..p-1: the functions below take operands
 in that form and return results in it, so no caller reduces again.
-`poly_mul` collects term pairs on monomials packed into ints, so it merges
-monomial tuples once per distinct product, not once per pair.  `cartan`
-takes the operation one index at a time, ``q(f, a)`` = Q^a f, and asks for
-it only at the indices its sum can reach."""
+`poly_mul` sums term pairs on monomials packed into ints, in one pass, and
+decodes each surviving product straight from its int, so no monomial tuple
+is merged or built per pair.  `cartan` takes the operation one index at a
+time, ``q(f, a)`` = Q^a f, and asks for it only at the indices its sum can
+reach."""
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from typing import Callable, Hashable, Sequence, TypeVar
 
 __all__ = [
     "binary_power",
     "prime_factors",
+    "binom_mod",
     "merge_monomials",
     "poly_add",
     "poly_scale",
@@ -68,6 +72,21 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def binom_mod(n: int, k: int, p: int) -> int:
+    """C(n, k) mod p by Lucas' theorem: the product of C(n_i, k_i) over the
+    base-p digits n_i of n and k_i of k, so no binomial past C(p-1, k_i) is
+    formed.  It is 0 when either argument is negative, and when k > n, since
+    then some k_i > n_i and C(n_i, k_i) = 0."""
+    if n < 0 or k < 0:
+        return 0
+    out = 1
+    while k:
+        n, ni = divmod(n, p)
+        k, ki = divmod(k, p)
+        out = out * math.comb(ni, ki) % p
+    return out
+
+
 def merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     """Product of two monomials stored as ((variable, exponent), ...) tuples
     sorted by variable: exponents of a shared variable add.  Each variable of
@@ -104,18 +123,19 @@ def poly_scale(a: Poly, c: int, p: int) -> Poly:
 
 
 def poly_mul(a: Poly, b: Poly, p: int) -> Poly:
-    """a * b over F_p, one monomial merge per distinct product.
+    """a * b over F_p in one pass over the term pairs.
 
-    Every variable of a and b gets a field of w bits, w the bit length of
-    twice the largest exponent, and a monomial is packed into the int
-    sum e * 2^(w * field).  The product of two monomials is then the sum of
-    their keys, with no carry between fields, so one pass over the term
-    pairs sums the coefficients on int keys.  A second pass in the same
-    order runs `merge_monomials` once per product that survives mod p, on
-    the first pair that gave it, so the result is the dict, insertion order
-    included, of one merge per pair (exponents are positive, so distinct
-    monomials have distinct keys).  Holding no monomial per key, it also
-    peaks below that loop in memory."""
+    The variables of a and b, in sorted order, get fields of w bits, w the
+    bit length of twice the largest exponent, and a monomial is packed into
+    the int sum e * 2^(w * field).  The product of two monomials is then the
+    sum of their keys, with no carry between fields, so one pass over the
+    term pairs sums the coefficients on int keys.  Each key whose sum
+    survives mod p is decoded field by field into its monomial, which comes
+    out sorted because the fields are; the ``(variable, exponent)`` pairs
+    are interned, so the result shares one tuple per pair.  Keys are decoded
+    in the order of the first pair that gave them, so the result is the
+    dict, insertion order included, of one `merge_monomials` per pair
+    (exponents are positive, so distinct monomials have distinct keys)."""
     if len(a) < len(b):
         a, b = b, a
     if len(b) == 1:
@@ -123,22 +143,29 @@ def poly_mul(a: Poly, b: Poly, p: int) -> Poly:
         # distinct terms: nothing to collect
         ((m2, c2),) = b.items()
         return {merge_monomials(m1, m2): c1 * c2 % p for m1, c1 in a.items()}
-    names = {v: None for poly in (a, b) for m in poly for v, _ in m}
+    names = sorted({v for poly in (a, b) for m in poly for v, _ in m})
     w = (2 * max((e for poly in (a, b) for m in poly for _, e in m), default=0)).bit_length()
     shift = {v: w * i for i, v in enumerate(names)}
-    ka = [(m, sum(e << shift[v] for v, e in m), c) for m, c in a.items()]
-    kb = [(m, sum(e << shift[v] for v, e in m), c) for m, c in b.items()]
+    kb = [(sum(e << shift[v] for v, e in m), c) for m, c in b.items()]
     sums: dict[int, int] = {}
-    for _, k1, c1 in ka:
-        for _, k2, c2 in kb:
+    for m1, c1 in a.items():
+        k1 = sum(e << shift[v] for v, e in m1)
+        for k2, c2 in kb:
             k = k1 + k2
             sums[k] = sums.get(k, 0) + c1 * c2
-    # the pop leaves 0 behind, so only the first pair of a key is merged
+    fields = [(((1 << w) - 1) << s, s, v) for v, s in shift.items()]
+    pairs: dict[int, tuple[Hashable, int]] = {}  # a field's bits: its (variable, exponent)
     out: Poly = {}
-    for m1, k1, _ in ka:
-        for m2, k2, _ in kb:
-            if c := sums.pop(k1 + k2, 0) % p:
-                out[merge_monomials(m1, m2)] = c
+    for k, c in sums.items():
+        if c := c % p:
+            mono = []
+            for mask, s, v in fields:
+                if bits := k & mask:
+                    pair = pairs.get(bits)
+                    if pair is None:
+                        pair = pairs[bits] = (v, bits >> s)
+                    mono.append(pair)
+            out[tuple(mono)] = c
     return out
 
 

@@ -15,7 +15,7 @@ from .arith import prime_factors
 from .fgl import FormalGroupLaw
 from .scalar import DEFAULT_PRECISION
 
-MAX_PRIME = 23
+MAX_PRIME = 31
 
 
 def _check_prime(p: int) -> int:

@@ -24,10 +24,9 @@ The Adem convention above is pinned by the five straightening identities in
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
-from .arith import cartan, frobenius, poly_add, poly_mul, poly_pow, poly_scale
+from .arith import binom_mod, cartan, frobenius, poly_add, poly_mul, poly_pow, poly_scale
 
 __all__ = [
     "DLAlgebra",
@@ -141,7 +140,7 @@ class DLAlgebra:
                 lo = -(-r // p)  # ceil(r/p)
                 hi = r - (p - 1) * s - 1
                 for i in range(lo, hi + 1):
-                    c = _comb((p - 1) * (i - s) - 1, p * i - r) % p
+                    c = binom_mod((p - 1) * (i - s) - 1, p * i - r, p)
                     if not c:
                         continue
                     sign = -1 if (r + i) % 2 else 1
@@ -171,12 +170,6 @@ def free_algebra(p: int) -> DLAlgebra:
     factorization, so each reuses the Q caches the others have filled.
     """
     return DLAlgebra(p, {"x": 2 * (p - 1), "y": 4 * (p - 1)})
-
-
-def _comb(n: int, k: int) -> int:
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 class DLPolynomial:

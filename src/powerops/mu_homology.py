@@ -11,6 +11,11 @@ Two equality routes are kept deliberately independent:
   the elementary-symmetric specialization t_i -> e_i(sample), under which
   every N_m evaluates to the power sum of the sample.
 
+Expansion is memoized per canonical Newton monomial, so two sides that are
+the same Newton monomial share one expansion.  It stays independent of
+cancellation *between* Newton monomials: each side is expanded term by term
+and only the generator polynomials are compared.
+
 The action on Newton classes is
 
     Q^r N_n = (-1)^(r+n) C(r-1, n-1) N_(n + r(p-1)),
@@ -24,12 +29,11 @@ in positive degree.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass, field
 
-from .arith import cartan, frobenius, poly_add, poly_mul, poly_pow, poly_scale
+from .arith import binom_mod, cartan, frobenius, poly_add, poly_mul, poly_pow, poly_scale
 from .finite_field import GaloisField
 
 __all__ = [
@@ -123,17 +127,25 @@ class SymmetricClass:
         return max((sum(m * e for m, e in mono) for mono in self.terms), default=0)
 
     def expand(self) -> GenPoly:
-        """Expansion as a polynomial in the generators (b_i or xi_k)."""
-        p = self.p
+        """Expansion as a polynomial in the generators (b_i or xi_k), a new
+        dict on every call; each Newton monomial is expanded once per
+        (p, context) and kept in `_NEWTON_CACHE`."""
+        p, context = self.p, self.context
         budget = default_budget(p)
         out: GenPoly = {}
         for mono, c in self.terms.items():
-            poly = {(): c}
-            for m, e in mono:
+            for m, _ in mono:
                 if m > budget:
                     raise ValueError(f"Newton index {m} exceeds budget {budget}")
-                poly = poly_mul(poly, poly_pow(newton_expand(m, self.context, p), e, p), p)
-            out = poly_add(out, poly, p)
+            key = (p, context, mono)
+            poly = _NEWTON_CACHE.get(key)
+            if poly is None:
+                poly = {(): 1}
+                for m, e in mono:
+                    # through the module global, so a wrapper on newton_expand sees it
+                    poly = poly_mul(poly, poly_pow(newton_expand(m, context, p), e, p), p)
+                _NEWTON_CACHE[key] = poly
+            out = poly_add(out, poly, p, c)
         return out
 
     def __repr__(self) -> str:
@@ -147,7 +159,9 @@ class SymmetricClass:
         return " + ".join(bits)
 
 
-_NEWTON_CACHE: dict[tuple[int, str, int], GenPoly] = {}
+# (p, context, canonical Newton monomial): its generator polynomial, never
+# mutated; `expand` hands out new sums of the entries
+_NEWTON_CACHE: dict[tuple[int, str, NewtonMonomial], GenPoly] = {}
 
 
 def newton_expand(m: int, context: str, p: int) -> GenPoly:
@@ -156,11 +170,12 @@ def newton_expand(m: int, context: str, p: int) -> GenPoly:
         N_m = t_1 N_(m-1) - t_2 N_(m-2) + ... + (-1)^(m-1) m t_m
 
     specialized to t_i = b_i (b-context) or t_(p^k-1) = xi_k, other t_i = 0
-    (xi-context), with the Frobenius shortcut N_(pm) = N_m^p.
+    (xi-context), with the Frobenius shortcut N_(pm) = N_m^p.  It is the
+    `_NEWTON_CACHE` entry of the one-factor monomial N_m = N_(m0)^(p^j).
     """
     if m <= 0:
         raise ValueError("Newton index must be positive")
-    key = (p, context, m)
+    key = (p, context, (_canonical_newton(m, 1, p),))
     cached = _NEWTON_CACHE.get(key)
     if cached is not None:
         return cached
@@ -191,7 +206,7 @@ def kochman_q(r: int, m: int, context: str, p: int) -> SymmetricClass:
     is instability: zero for r < m (r = 0 included), N_m^p at r = m."""
     if r < 0:
         raise ValueError("negative operation index")
-    c = math.comb(r - 1, m - 1) % p if r - 1 >= m - 1 >= 0 else 0
+    c = binom_mod(r - 1, m - 1, p)
     if not c:
         return SymmetricClass.zero(p, context)
     sign = 1 if (r + m) % 2 == 0 else -1
@@ -319,8 +334,9 @@ class PropositionReport:
 
 
 def _equal_exact(a: SymmetricClass, b: SymmetricClass) -> bool:
-    # expand the two sides separately so this route stays independent
-    # of cancellation in the Newton-monomial algebra
+    # expand the two sides separately so this route stays independent of
+    # cancellation between Newton monomials; a Newton monomial both sides
+    # hold is expanded once (`expand` memoizes it) and the sides share it
     return a.expand() == b.expand()
 
 
@@ -405,7 +421,10 @@ def verify_mudl(p: int, seed: int = 0) -> PropositionReport:
     Scalar-multiple identities (1, 2, 3, 5, 6) are decided by exact
     comparison of canonical Newton monomials (sound: power sums with index
     coprime to p are algebraically independent).  The product identity 4 is
-    expanded exactly at p = 3.  At p >= 5 it is labelled
+    expanded exactly at p = 3; its two sides are the same Newton monomial,
+    so they share one memoized expansion, and what the route adds over the
+    symbolic one is that no cancellation between Newton monomials is
+    trusted.  At p >= 5 it is labelled
     sampled(DEFAULT_SAMPLES, F_p^4), but `_equal_sampled` returns as soon as
     lhs - rhs is the zero Newton polynomial, which it is at every prime in
     scope, so no point is evaluated: the check is decided by Newton-monomial

@@ -343,7 +343,8 @@ def suite_properties(p: int, precision: int = DEFAULT_PRECISION, seed: int = 0) 
 
     t0 = time.perf_counter()
     # N_m^(p-1), the largest product below, has weight (p-1)m; past 42 it
-    # grows fast (33 s at p = 11, m = 7), so the cap bites only at p >= 11
+    # grows fast (at p = 11: 0.25 s for m = 6, 2.6 s for m = 7, 2 CPUs), so
+    # the cap bites only at p >= 11
     m = min(rng.randrange(2, 8), 42 // (p - 1))
     lhs = mu_homology.newton_expand(p * m, "b", p)
     # plain repeated multiplication, not the Frobenius shortcut newton_expand takes

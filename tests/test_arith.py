@@ -1,9 +1,10 @@
+import math
 from functools import reduce
 
 from hypothesis import example, given, settings, strategies as st
 
-from powerops import arith, mu_homology
-from powerops.arith import cartan, frobenius, merge_monomials, poly_add, poly_mul, poly_pow, poly_scale
+from powerops import arith, dl, mu_homology
+from powerops.arith import binom_mod, cartan, frobenius, merge_monomials, poly_add, poly_mul, poly_pow, poly_scale
 
 PRIMES = st.sampled_from([3, 5, 7])
 
@@ -225,6 +226,61 @@ def test_poly_mul_exponent_sum_needs_an_extra_bit():
     got = poly_mul(a, b, p)
     assert list(got.items()) == list(naive_mul(a, b, p).items())
     assert got == {((1, 510),): 3, ((1, 382), (2, 1)): 1, ((1, 382),): 6, ((1, 254), (2, 1)): 2}
+
+
+def test_poly_mul_matches_pairwise_merges_on_dl_products():
+    # operands from the Q-action in the free algebra at p = 5: (word,
+    # generator) factors as variables, as in every Dyer-Lashof product
+    A = dl.free_algebra(5)
+    x, y = A.gen("x"), A.gen("y")
+    cases = ((x * y, (13, 20, 31)), (x.pow(3) * y.pow(2), (30, 33, 36)), (x.pow(5) * y, (38, 48)))
+    polys = [A.apply_q(s, f).terms for f, ss in cases for s in ss]
+    assert all(len(a) > 1 for a in polys)
+    for a in polys:
+        for b in polys:
+            assert list(poly_mul(a, b, 5).items()) == list(naive_mul(a, b, 5).items())
+
+
+def test_poly_mul_decodes_in_sorted_order():
+    # variables first appear in the order 3, 1, 2, not sorted: the decoded
+    # monomials must still be sorted, and equal to the merged ones
+    p = 7
+    a = {((3, 2),): 1, ((1, 1), (2, 3)): 2, ((2, 1),): 3}
+    b = {((1, 4), (3, 1)): 5, ((2, 2),): 1}
+    first_seen = list(dict.fromkeys(v for poly in (a, b) for m in poly for v, _ in m))
+    assert first_seen != sorted(first_seen)
+    for u, v in ((a, b), (b, a)):
+        got = poly_mul(u, v, p)
+        assert list(got.items()) == list(naive_mul(u, v, p).items())
+        assert all(list(m) == sorted(m) for m in got)
+
+
+def test_poly_mul_skips_a_zero_field_between_two():
+    # x2 has a field, and x1 x3 and x1^2 x3^2 leave it empty between the
+    # nonzero fields of x1 and x3
+    p = 5
+    a = {((1, 1),): 1, ((2, 1),): 2}
+    b = {((3, 1),): 1, ((2, 1),): 3, ((1, 1), (3, 2)): 4}
+    got = poly_mul(a, b, p)
+    assert list(got.items()) == list(naive_mul(a, b, p).items())
+    assert got == {
+        ((1, 1), (3, 1)): 1,
+        ((1, 1), (2, 1)): 3,
+        ((1, 2), (3, 2)): 4,
+        ((2, 1), (3, 1)): 2,
+        ((2, 2),): 1,
+        ((1, 1), (2, 1), (3, 2)): 3,
+    }
+
+
+def test_binom_mod_matches_math_comb():
+    for p in (3, 5, 7, 11):
+        for n in range(-3, 3 * p * p):
+            for k in range(-3, n + 4):
+                want = math.comb(n, k) % p if 0 <= k <= n else 0
+                assert binom_mod(n, k, p) == want, (n, k, p)
+    # the Adem rule at p = 37 reaches arguments in the thousands
+    assert binom_mod(5000, 1234, 37) == math.comb(5000, 1234) % 37
 
 
 def test_identity4_merges_once_per_distinct_product(monkeypatch):

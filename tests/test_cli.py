@@ -60,8 +60,8 @@ def test_solve_sigma_output():
 
 
 def test_bad_prime_is_config_error():
-    # 29 is prime but past the largest supported prime, 23
-    for bad in ("4", "2", "29", "9"):
+    # 37 is prime but past the largest supported prime, 31
+    for bad in ("4", "2", "37", "9"):
         proc = run_cli(["verify", "--p", bad, "--suite", "powerop"])
         assert proc.returncode == 2
         assert "--p" in proc.stderr and bad in proc.stderr

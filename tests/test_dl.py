@@ -98,7 +98,7 @@ def test_relation_and_identities(p):
     assert rep.en_threshold == 2 * (p * p + 2)
 
 
-@pytest.mark.parametrize("p", [7, 11, 13, 17])
+@pytest.mark.parametrize("p", [7, 11, 13, 17, 29, 31])
 def test_relation_large_primes(p):
     assert verify_relation(p).passed
     assert verify_factorization(p).passed

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from powerops import arith, mu_homology
 from powerops.arith import binary_power, poly_mul
 from powerops.dl import DLAlgebra
 from powerops.finite_field import GaloisField
@@ -223,6 +224,67 @@ def test_field_tables_agree_with_raw_arithmetic(p, e, pairs):
         assert fld.add(a, b) == sum(d * p**i for i, d in enumerate(digits))
         # an integer c is the constant field element c mod p
         assert fld.mul_int(a, b) == fld._raw_mul(a, b % p)
+
+
+def _identity4_sides(p):
+    lhs = q_on_product(p * p - p + 1, [(p - 1, p - 1)], "b", p)
+    n1 = SymmetricClass.newton(p, "b", p - 1)
+    n2 = SymmetricClass.newton(p, "b", 2 * (p - 1))
+    return lhs, n1.pow((p - 2) * p) * n2.pow(p)
+
+
+def test_expand_returns_a_fresh_dict(monkeypatch):
+    monkeypatch.setattr(mu_homology, "_NEWTON_CACHE", {})
+    p = 5
+    cls = SymmetricClass.newton(p, "b", 4).pow(3) * 2 + SymmetricClass.newton(p, "b", 3)
+    first = cls.expand()
+    want = dict(first)
+    first.clear()
+    first[((9, 9),)] = 1
+    assert cls.expand() == want
+    single = SymmetricClass.newton(p, "b", 4)
+    got = single.expand()
+    got[((1, 4),)] = 3
+    assert single.expand() == newton_expand(4, "b", p)
+    assert single.expand() != got
+
+
+def test_expand_memo_keys_on_prime_and_context(monkeypatch):
+    # the Newton monomial N_4 * N_8 (canonical at p = 3 and 5) in the b- and
+    # xi-contexts at both primes: four entries, four generator polynomials
+    monkeypatch.setattr(mu_homology, "_NEWTON_CACHE", {})
+    mono = ((4, 1), (8, 1))
+    got = {}
+    for p in (3, 5):
+        for context in ("b", "xi"):
+            got[p, context] = SymmetricClass(p, context, {mono: 1}).expand()
+    assert sorted(key[:2] for key in mu_homology._NEWTON_CACHE if key[2] == mono) == sorted(got)
+    assert all(got.values())
+    assert len({tuple(sorted(e.items())) for e in got.values()}) == 4
+    # each agrees with the product taken outside the memo
+    for (p, context), expansion in got.items():
+        assert expansion == poly_mul(newton_expand(4, context, p), newton_expand(8, context, p), p)
+
+
+def test_identity4_second_expansion_makes_no_product(monkeypatch):
+    # both sides of identity 4 are one Newton monomial: once the right side is
+    # expanded, expanding it again, or the left side, multiplies nothing
+    monkeypatch.setattr(mu_homology, "_NEWTON_CACHE", {})
+    p = 7
+    lhs, rhs = _identity4_sides(p)
+    assert list(lhs.terms) == list(rhs.terms)
+    want = rhs.expand()
+    calls = [0]
+
+    def counting_mul(a, b, q):
+        calls[0] += 1
+        return poly_mul(a, b, q)
+
+    monkeypatch.setattr(mu_homology, "poly_mul", counting_mul)
+    monkeypatch.setattr(arith, "poly_mul", counting_mul)
+    assert rhs.expand() == want
+    assert lhs.expand() == want
+    assert calls[0] == 0
 
 
 def test_display4_sign_is_plus():

@@ -244,7 +244,7 @@ def test_h_polynomial_unit_case():
     assert h == one
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_power_operation_values(p):
     F = FormalGroupLaw.v3_truncated(p, K)
     for i in (2, p):
@@ -299,7 +299,7 @@ def test_power_operation_rejects_one_digit():
     assert power_operation_value(FormalGroupLaw.v3_truncated(3, 2), 2).value.v3 == {22: 1}
 
 
-@pytest.mark.parametrize("p", [11, 13, 17, 19, 23])
+@pytest.mark.parametrize("p", [11, 13, 17, 19, 23, 29, 31])
 def test_precision_stability_large_primes(p):
     # the engine's own K = 8 vs K = 12 check, and the closed-form g oracle
     checks = {c.name: c.status for c in reports.suite_properties(p).checks}
