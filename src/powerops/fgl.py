@@ -16,8 +16,9 @@ single correction term), so its p-series is
     p*x - (p^(p^3-1) - 1) * v3 * x^(p^3)
 
 and, because p^3 = 1 mod (p-1), the (p-1)st roots of unity act linearly:
-[w^i](x) = w^i * x.  The additive law is kept as a second built-in for
-oracle tests.
+[w^i](x) = w^i * x, and the Euler class is -alpha^(p-1) in closed form (its
+product form is the oracle in `reports.suite_powerop`).  The additive law is
+kept as a second built-in for oracle tests.
 
 A `FormalGroupLaw` is nothing but its logarithm and the Teichmuller lift w:
 it caches nothing and stores no truncation bound.  Callers pass the bounds
@@ -86,14 +87,9 @@ class Logarithm:
 
 @dataclass(frozen=True)
 class FormalGroupLaw:
-    """The formal group law with logarithm `log`, on which the (p-1)st roots
-    of unity act through the Teichmuller lift `omega` of a primitive root.
-
-    The law holds no state beyond these two: p and the precision are the
-    logarithm's, and every series is built afresh at the bounds the caller
-    gives.  A single-variable series left without a bound is cut at degree
-    p^3 + p.
-    """
+    """The formal group law with logarithm `log`, on which the (p-1)st roots of
+    unity act through the Teichmuller lift `omega` of a primitive root; p and
+    the precision are the logarithm's (see the module docstring for bounds)."""
 
     log: Logarithm
     omega: PAdicScalar
@@ -115,7 +111,7 @@ class FormalGroupLaw:
         return cls(Logarithm.additive(p, prec), primitive_teichmuller_root(p, prec))
 
     def _bound(self, bound: int | None) -> int:
-        return bound or self.p**3 + self.p
+        return self.p**3 + self.p if bound is None else bound
 
     # -- helpers -------------------------------------------------------------
 
@@ -168,10 +164,10 @@ class FormalGroupLaw:
         return divide_by_alpha_power(self.p_series(var, bound), 1, var)
 
     def euler_class(self, var: str = "alpha", bound: int | None = None) -> TruncatedSeries:
-        """prod_{i=1}^{p-1} [w^i](alpha), the Euler class of the reduced
-        regular representation of the order-p cyclic group."""
-        b = self._bound(bound)
-        out = TruncatedSeries.one(self.p, (var,), (b,), self.prec)
-        for i in range(1, self.p):
-            out = out * self.scalar_series(self.omega**i, var, b)
-        return out
+        """prod_{i=1}^{p-1} [w^i](alpha) = w^(p(p-1)/2) alpha^(p-1) = -alpha^(p-1), the Euler
+        class of the reduced regular representation of the order-p cyclic group; exact since
+        [w^i](alpha) = w^i alpha when every log degree is 1 mod (p-1), else ValueError."""
+        if any((n - 1) % (self.p - 1) for n in self.log.coeffs):
+            raise ValueError(f"closed-form chi needs log degrees = 1 mod {self.p - 1}")
+        minus_one = CoeffV3.from_int(self.p, -1, self.prec)
+        return TruncatedSeries.from_terms(self.p, (var,), (self._bound(bound),), {(self.p - 1,): minus_one})

@@ -14,11 +14,11 @@ recovered, after multiplying by chi^n, from the chain
 Every stage is kept on the trace so the intermediate golden values can be
 checked exactly.
 
-The g stage is written down in closed form (see `g_series`): for a
-v3-linear logarithm whose degrees are all 1 mod (p-1), g is
-x^p - x alpha^(p-1) plus one exact binomial sum per logarithm term.  The
-generic product of formal sums, `_g_by_formal_sums`, survives only as its
-oracle in the property suite; any other logarithm raises ValueError.
+The chi, g and k stages are closed forms, exact for a v3-linear logarithm
+whose degrees are all 1 mod (p-1); other inputs raise ValueError.  Their
+generic routes are kept only as oracles: the product of the [w^i](alpha) in
+the powerop suite, `_g_by_formal_sums` in the property suite, and the
+substitution x = chi*y, which only renames monomials, in the tests.
 
 The alpha bound is widened per run: the surviving term sits at
 alpha^(p^3 - 1 + i(p-2)(p-1)) before the division by chi^(i(p-1)), which is
@@ -73,17 +73,19 @@ def _lift(f: TruncatedSeries, vars: tuple[str, ...], bounds: tuple[int, ...]) ->
     return TruncatedSeries.from_terms(f.p, vars, bounds, terms)
 
 
-def divide_by_series_power(
-    f: TruncatedSeries, chi: TruncatedSeries, n: int, var: str = "alpha"
-) -> TruncatedSeries:
-    """Exact division f / chi^n where chi = alpha^d * unit."""
-    if n == 0:
-        return f
-    d = min(chi.degrees(var))
-    u = divide_by_alpha_power(chi, d, var)
-    chiv = _lift(u, f.vars, f.bounds) if u.vars != f.vars else u
-    out = divide_by_alpha_power(f, n * d, var)
-    return out * chiv.pow(n).inverse()
+def _chi_degree(chi: TruncatedSeries) -> int:
+    """d for chi = -alpha^d; any other chi raises ValueError."""
+    if chi.vars == ("alpha",) and len(chi.terms) == 1:
+        ((d,), u), = chi.terms.items()
+        if u.v3part.is_zero() and u.plain == -1:
+            return d
+    raise ValueError(f"chi must be -alpha^d, got {chi!r}")
+
+
+def divide_by_series_power(f: TruncatedSeries, chi: TruncatedSeries, n: int) -> TruncatedSeries:
+    """Exact division f / chi^n for chi = -alpha^d; any other chi raises ValueError."""
+    out = divide_by_alpha_power(f, n * _chi_degree(chi))
+    return -out if n % 2 else out
 
 
 # ---------------------------------------------------------------------------
@@ -153,17 +155,19 @@ def _g_by_formal_sums(F: FormalGroupLaw, x_bound: int, alpha_bound: int) -> Trun
 
 
 def k_series(g: TruncatedSeries, chi: TruncatedSeries) -> TruncatedSeries:
-    """Substitute x = chi*y in g and divide by chi^2; linear term is y."""
-    p = g.p
-    xb = g.bounds[g.index("x")]
-    ab = g.bounds[g.index("alpha")]
-    vars, bounds = ("x", "y", "alpha"), (xb, xb, ab)
-    lifted = _lift(g, vars, bounds)
-    y = TruncatedSeries.variable(p, "y", vars, bounds, series_precision(g))
-    chi3 = _lift(chi, vars, bounds)
-    subbed = lifted.substitute("x", chi3 * y)
-    k3 = divide_by_series_power(subbed, chi3, 2)
-    return _lift(k3, ("y", "alpha"), (xb, ab))
+    """k(y, alpha) = g(chi*y, alpha) / chi^2 for chi = -alpha^d, in closed form: c x^a alpha^b
+    becomes (-1)^a c y^a alpha^(b+(a-2)d), cut where b + ad reaches the alpha bound, in the
+    substitution's order, on which p-adic sums depend: plain, then pure v3 terms, by y degree."""
+    d = _chi_degree(chi)
+    ix, ia = g.index("x"), g.index("alpha")
+    terms = {}
+    for e, c in sorted(g.terms.items(), key=lambda t: (t[1].plain.is_zero(), t[0][ix])):
+        a, b = e[ix], e[ia] + (e[ix] - 2) * d
+        if b + 2 * d < g.bounds[ia]:
+            if b < 0:
+                raise ValueError(f"g(chi*y) is not divisible by chi^2 at alpha^{b + 2 * d}")
+            terms[a, b] = -c if a % 2 else c
+    return TruncatedSeries(("y", "alpha"), (g.bounds[ix], g.bounds[ia]), terms, g.p)
 
 
 @dataclass

@@ -99,6 +99,24 @@ def test_euler_class(p):
     assert FormalGroupLaw.additive(p, K).euler_class() == -a.pow(p - 1)
 
 
+def test_euler_class_rejects_out_of_scope_logarithm():
+    # a v3 correction at x^2 breaks [w^i](alpha) = w^i alpha, since 2 != 1 mod 4;
+    # the product of the [w^i](alpha) then has a v3 alpha^5 term
+    p = 5
+    log = Logarithm(p, K, {1: CoeffV3.one(p, K), 2: CoeffV3.from_v3(PAdicScalar(p, -1, 1, K))})
+    F = FormalGroupLaw(log, primitive_teichmuller_root(p, K))
+    with pytest.raises(ValueError, match="1 mod 4"):
+        F.euler_class()
+
+
+def test_explicit_bound_zero_is_not_the_default():
+    # 0 is a bound like any other: the series is 0, cut at degree 0
+    F = FormalGroupLaw.v3_truncated(3, K)
+    series = (F.euler_class("alpha", 0), F.scalar_series(2, "alpha", 0), F.angle_p_series("alpha", 0))
+    assert all(f.is_zero() and f.bounds == (0,) for f in series)
+    assert F.euler_class().bounds == (3**3 + 3,)
+
+
 def test_euler_class_p3_direct_product_oracle():
     # p=3: omega = 8 mod 3^K, chi = (omega a)(omega^2 a) = omega^3 a^2 = -a^2
     p, Kp = 3, 6

@@ -7,6 +7,8 @@ from powerops import reports
 from powerops.fgl import FormalGroupLaw, Logarithm
 from powerops.powerop import (
     _g_by_formal_sums,
+    _lift,
+    divide_by_series_power,
     f_coefficient,
     g_series,
     h_polynomial,
@@ -20,7 +22,7 @@ from powerops.powerop import (
     sigma_dl_coefficient,
 )
 from powerops.scalar import CoeffV3, PAdicScalar, primitive_teichmuller_root
-from powerops.series import TruncatedSeries, lagrange_invert
+from powerops.series import TruncatedSeries, divide_by_alpha_power, lagrange_invert, series_precision
 
 K = 8
 
@@ -175,6 +177,89 @@ def test_k_inverse_term_pair_budget(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
     lagrange_invert(k, "y")
     assert 0 < pairs[0] <= 1000
+
+
+def _items(f):
+    """The terms of f in order, each coefficient as its digits."""
+    return (f.vars, f.bounds, [
+        (e, [(s.is_zero(), s.valuation, s.unit, s.prec) for s in (c.plain, c.v3part)])
+        for e, c in f.terms.items()
+    ])
+
+
+def _divide_by_unit_series(f, chi, n):
+    """f / chi^n for chi = alpha^d * (unit series), by the unit's inverse:
+    the oracle of the closed-form divide_by_series_power."""
+    d = min(chi.degrees("alpha"))
+    unit = _lift(divide_by_alpha_power(chi, d), f.vars, f.bounds)
+    return divide_by_alpha_power(f, n * d) * unit.pow(n).inverse()
+
+
+def _k_by_substitution(g, chi):
+    """g(chi*y, alpha) / chi^2 by substitution and series division: the
+    oracle of the closed-form k_series."""
+    xb, ab = g.bounds
+    vars, bounds = ("x", "y", "alpha"), (xb, xb, ab)
+    y = TruncatedSeries.variable(g.p, "y", vars, bounds, series_precision(g))
+    chi3 = _lift(chi, vars, bounds)
+    subbed = _lift(g, vars, bounds).substitute("x", chi3 * y)
+    return _lift(_divide_by_unit_series(subbed, chi3, 2), ("y", "alpha"), (xb, ab))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_euler_class_equals_product_of_root_series(p):
+    # the product of the [w^i](alpha) is the oracle of the closed-form chi
+    for prec in (2, 3, 5, 8, 12):
+        for F in (FormalGroupLaw.v3_truncated(p, prec), FormalGroupLaw.additive(p, prec)):
+            for bound in (p**3 + p, p - 1, p):
+                product = TruncatedSeries.one(p, ("alpha",), (bound,), prec)
+                for i in range(1, p):
+                    product = product * F.scalar_series(F.omega**i, "alpha", bound)
+                assert _items(F.euler_class("alpha", bound)) == _items(product), (prec, bound)
+
+
+@pytest.mark.parametrize(
+    "p, precs",
+    [(p, (2, 3, 5, 8, 12)) for p in (3, 5, 7, 11, 13)] + [(p, (2, 8)) for p in (17, 19, 23, 29, 31)],
+)
+def test_k_series_equals_substitution(p, precs):
+    # item for item, digits and order included: downstream p-adic sums
+    # depend on the order of the terms
+    bound_sets = (
+        (p**2, p**3 + 2 * (p - 1) ** 2 + 1),  # power_operation_value at i = 2
+        (p**2, p**3 + p * (p - 1) ** 2 + 1),  # and at i = p
+        (p + 3, p**3 + 2 * (p + 2) * (p - 1) + 1),  # isogeny_derivative_check
+        (p**2, p**3 + 2 * (p - 1) ** 2 + 1 + 37),  # alpha headroom
+    )
+    for prec in precs:
+        F = FormalGroupLaw.v3_truncated(p, prec)
+        for xb, ab in bound_sets:
+            g = g_series(F, xb, ab)
+            chi = F.euler_class("alpha", ab)
+            # g's terms reversed put the v3 terms before the plain ones
+            rev = TruncatedSeries.from_terms(p, g.vars, g.bounds, reversed(g.terms.items()))
+            for h in (g, rev):
+                want = _k_by_substitution(h, chi)
+                assert _items(k_series(h, chi)) == _items(want), (prec, xb, ab)
+            k = k_series(g, chi)
+            for n in range(4):
+                # chi^n k, divisible by chi^n
+                f = _lift(chi, k.vars, k.bounds).pow(n) * k
+                want = _divide_by_unit_series(f, chi, n)
+                assert _items(divide_by_series_power(f, chi, n)) == _items(want), (prec, xb, ab, n)
+
+
+def test_k_series_rejects_chi_other_than_minus_alpha_power():
+    p = 3
+    F = FormalGroupLaw.v3_truncated(p, K)
+    ab = p**3 + p
+    g = g_series(F, p**2, ab)
+    chi = F.euler_class("alpha", ab)
+    a = TruncatedSeries.variable(p, "alpha", ("alpha",), (ab,), K)
+    # two terms; units 2, 1 and -1 - v3
+    for bad in (chi + a.pow(p), chi.mul_int(2), -chi, chi + chi.times_v3()):
+        with pytest.raises(ValueError, match="chi must be -alpha"):
+            k_series(g, bad)
 
 
 def test_chi_squared_k_equals_g_of_chi_y(trace3):
@@ -375,7 +460,7 @@ def test_log_derivative_in_pipeline_takes_no_products(monkeypatch):
 
 def test_pipeline_builds_angle_p_once(monkeypatch):
     # the law caches nothing, so h_n must reuse the <p> on the trace: one
-    # <p>, and p scalar series (p - 1 for chi, one for <p>)
+    # <p>, and one scalar series, the [p] under it; chi is in closed form
     p = 5
     counts = {"angle_p_series": 0, "scalar_series": 0}
     for name in counts:
@@ -388,7 +473,7 @@ def test_pipeline_builds_angle_p_once(monkeypatch):
         monkeypatch.setattr(FormalGroupLaw, name, counting)
     res = power_operation_value(FormalGroupLaw.v3_truncated(p, K), 2)
     assert res.value.render() == "v3 * alpha^116"
-    assert counts == {"angle_p_series": 1, "scalar_series": p}
+    assert counts == {"angle_p_series": 1, "scalar_series": 1}
 
 
 @pytest.mark.parametrize("degrees, first", [((0,), 0), ((3, 2), 2)])
