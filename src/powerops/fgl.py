@@ -16,9 +16,9 @@ single correction term), so its p-series is
     p*x - (p^(p^3-1) - 1) * v3 * x^(p^3)
 
 and, because p^3 = 1 mod (p-1), the (p-1)st roots of unity act linearly:
-[w^i](x) = w^i * x, and the Euler class is -alpha^(p-1) in closed form (its
-product form is the oracle in `reports.suite_powerop`).  The additive law is
-kept as a second built-in for oracle tests.
+[w^i](x) = w^i * x.  The Euler class -alpha^(p-1) and <p>(x) = [p](x)/x =
+p + sum_n m_n (p - p^n) x^(n-1) are in closed form; their generic forms are the
+oracles in `reports.suite_powerop`.  The additive law is a second built-in.
 
 A `FormalGroupLaw` is nothing but its logarithm and the Teichmuller lift w:
 it caches nothing and stores no truncation bound.  Callers pass the bounds
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalar import DEFAULT_PRECISION, CoeffV3, PAdicScalar, primitive_teichmuller_root
-from .series import TruncatedSeries, divide_by_alpha_power
+from .series import TruncatedSeries
 
 __all__ = ["Logarithm", "FormalGroupLaw"]
 
@@ -160,8 +160,18 @@ class FormalGroupLaw:
         return self.scalar_series(self.p, var, bound)
 
     def angle_p_series(self, var: str = "alpha", bound: int | None = None) -> TruncatedSeries:
-        """[p](x) / x, an exact division."""
-        return divide_by_alpha_power(self.p_series(var, bound), 1, var)
+        """<p>(x) = [p](x) / x = p + sum_{n>=2} m_n (p - p^n) x^(n-1), in closed form, since
+        [p](x) = exp(p log x) = p log x - v3 lambda(p x).  x^(n-1) is kept for n < bound, as
+        [p](x) is cut there before the division; a plain part in an m_n raises ValueError."""
+        p, prec, bound = self.p, self.prec, self._bound(bound)
+        terms = {(0,): CoeffV3.from_int(p, p, prec)} if bound > 1 else {}
+        for n, m in sorted(self.log.coeffs.items()):
+            if n >= 2 and not m.plain.is_zero():
+                raise ValueError("closed-form <p> needs a v3-linear logarithm")
+            if 2 <= n < bound and not m.is_zero():
+                p_minus_pn = PAdicScalar(p, 1, (1 - pow(p, n - 1, p**prec)) % p**prec, prec)
+                terms[n - 1,] = CoeffV3.from_v3(m.v3part * p_minus_pn)
+        return TruncatedSeries((var,), (bound,), terms, p)
 
     def euler_class(self, var: str = "alpha", bound: int | None = None) -> TruncatedSeries:
         """prod_{i=1}^{p-1} [w^i](alpha) = w^(p(p-1)/2) alpha^(p-1) = -alpha^(p-1), the Euler

@@ -36,6 +36,11 @@ class PrecisionLossError(ArithmeticError):
     """A nonzero result kept no significant digit."""
 
 
+def _precision_loss(prec: int) -> PrecisionLossError:
+    # one digit is enough for the mod-p assertions downstream
+    return PrecisionLossError(f"precision dropped to {prec} digits (floor 1)")
+
+
 def _valuation_of_int(n: int, p: int) -> int:
     v = 0
     while n % p == 0:
@@ -106,32 +111,25 @@ class PAdicScalar(Immutable):
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_floor(self) -> "PAdicScalar":
-        # one digit is enough for the mod-p assertions downstream
-        if not self.is_zero_flag and self.prec < 1:
-            raise PrecisionLossError(f"precision dropped to {self.prec} digits (floor 1)")
-        return self
-
     def __add__(self, other: "PAdicScalar") -> "PAdicScalar":
-        p = self.p
         if self.is_zero_flag:
             return other
         if other.is_zero_flag:
             return self
-        v = min(self.valuation, other.valuation)
+        p, a, b = self.p, self.valuation, other.valuation
+        v = a if a < b else b
         # absolute precision of each operand, relative to p^v
-        m = min(
-            self.valuation + self.prec - v,
-            other.valuation + other.prec - v,
-        )
-        mod = p**m
-        s = (self.unit * p ** (self.valuation - v) + other.unit * p ** (other.valuation - v)) % mod
+        m, n = a + self.prec - v, b + other.prec - v
+        if n < m:
+            m = n
+        s = (self.unit * p ** (a - v) + other.unit * p ** (b - v)) % p**m
         if s == 0:
             # cancellation to below the known precision; the uses in this
             # package only cancel structurally exact values
             return PAdicScalar.zero(p)
+        # 0 < s < p^m, so t < m: a sum always keeps the one-digit floor
         t = _valuation_of_int(s, p)
-        return PAdicScalar(p, v + t, (s // p**t) % p ** (m - t), m - t)._check_floor()
+        return PAdicScalar(p, v + t, (s // p**t) % p ** (m - t), m - t)
 
     def __neg__(self) -> "PAdicScalar":
         if self.is_zero_flag:
@@ -146,11 +144,12 @@ class PAdicScalar(Immutable):
             return self
         if other.is_zero_flag:
             return other
-        p = self.p
-        prec = min(self.prec, other.prec)
+        prec = self.prec if self.prec < other.prec else other.prec
+        if prec < 1:
+            raise _precision_loss(prec)
         return PAdicScalar(
-            p, self.valuation + other.valuation, (self.unit * other.unit) % p**prec, prec
-        )._check_floor()
+            self.p, self.valuation + other.valuation, (self.unit * other.unit) % self.p**prec, prec
+        )
 
     def __truediv__(self, other: "PAdicScalar") -> "PAdicScalar":
         p = self.p
@@ -160,12 +159,19 @@ class PAdicScalar(Immutable):
             return self
         prec = min(self.prec, other.prec)
         inv = pow(other.unit, -1, p**prec)
-        return PAdicScalar(
-            p, self.valuation - other.valuation, (self.unit * inv) % p**prec, prec
-        )._check_floor()
+        if prec < 1:
+            raise _precision_loss(prec)
+        return PAdicScalar(p, self.valuation - other.valuation, (self.unit * inv) % p**prec, prec)
 
     def mul_int(self, n: int) -> "PAdicScalar":
-        return self * PAdicScalar.from_int(self.p, n, max(self.prec, 1))
+        """self * n, at the precision of self."""
+        if self.is_zero_flag or n == 0:
+            return PAdicScalar.zero(self.p)
+        p, prec = self.p, self.prec
+        if prec < 1:
+            raise _precision_loss(prec)
+        v = _valuation_of_int(n, p)
+        return PAdicScalar(p, self.valuation + v, (self.unit * (n // p**v)) % p**prec, prec)
 
     def __pow__(self, n: int) -> "PAdicScalar":
         one = PAdicScalar.from_int(self.p, 1, self.prec if not self.is_zero_flag else DEFAULT_PRECISION)

@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from itertools import chain
 from operator import add, lt
-from typing import Callable, Iterable, Mapping
 
 from .arith import binary_power
 from .scalar import DEFAULT_PRECISION, CoeffV3, Immutable, PAdicScalar

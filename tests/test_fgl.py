@@ -5,7 +5,7 @@ import pytest
 
 from powerops.fgl import FormalGroupLaw, Logarithm
 from powerops.scalar import CoeffV3, PAdicScalar, primitive_teichmuller_root
-from powerops.series import TruncatedSeries
+from powerops.series import TruncatedSeries, divide_by_alpha_power
 
 K = 8
 
@@ -87,6 +87,48 @@ def test_angle_p_series():
     assert FormalGroupLaw.additive(p, K).angle_p_series() == TruncatedSeries.one(
         p, ("alpha",), (p**3 + p,), K
     ).mul_int(p)
+
+
+def _items(f):
+    """The terms of f in order, each coefficient as its digits."""
+    return (f.vars, f.bounds, [
+        (e, [(s.is_zero(), s.valuation, s.unit, s.prec) for s in (c.plain, c.v3part)])
+        for e, c in f.terms.items()
+    ])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_angle_p_closed_form_equals_division_of_p_series(p):
+    # item for item, digits and order included, against [p](alpha) / alpha
+    # with [p] = exp(p log) built generically
+    bounds = (
+        None, 0, 1, 2, p**3 - 1, p**3, p**3 + p,
+        p**3 + 2 * (p - 1) ** 2 + 1,  # power_operation_value at i = 2
+        p**3 + p * (p - 1) ** 2 + 1,  # and at i = p
+        p**3 + 2 * (p + 2) * (p - 1) + 1,  # the isogeny checks
+    )
+    for prec in (2, 3, 5, 8, 12):
+        # a third law lists its terms out of order, one of them zero and one
+        # known to more digits than the law
+        m = CoeffV3.from_v3(PAdicScalar(p, 2, p - 1, prec + 3))
+        mixed = {p**3: CoeffV3.from_v3(PAdicScalar(p, -1, 1, prec)), 1: CoeffV3.one(p, prec), 2 * p: m}
+        mixed[3] = CoeffV3.zero(p)
+        omega = primitive_teichmuller_root(p, prec)
+        laws = (FormalGroupLaw.v3_truncated(p, prec), FormalGroupLaw.additive(p, prec))
+        for F in laws + (FormalGroupLaw(Logarithm(p, prec, mixed), omega),):
+            for bound in bounds + (3, 4, 2 * p, 2 * p + 1):
+                generic = divide_by_alpha_power(F.p_series("alpha", bound), 1)
+                assert _items(F.angle_p_series("alpha", bound)) == _items(generic), (prec, bound)
+
+
+def test_angle_p_rejects_out_of_scope_logarithm():
+    # the constructor refuses a plain part in m_n for n >= 2; one written into
+    # the coefficient dict afterwards would make [p] leave the closed form
+    p = 3
+    F = FormalGroupLaw.v3_truncated(p, K)
+    F.log.coeffs[2] = CoeffV3.one(p, K)
+    with pytest.raises(ValueError, match="v3-linear"):
+        F.angle_p_series()
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

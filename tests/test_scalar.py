@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from powerops.scalar import (
     CoeffV3,
     PAdicScalar,
+    PrecisionLossError,
     binomial_scalar,
     primitive_teichmuller_root,
     reduce_mod_p,
@@ -116,3 +118,87 @@ def test_v3_nilpotence(a, b, c, d, e, f):
     assert (x * y) * z == x * (y * z)
     v3 = CoeffV3.from_v3(PAdicScalar.from_int(p, 1, K))
     assert (v3 * v3).is_zero()
+
+
+# -- the kernel against its former definitions --------------------------------
+# mul_int used to multiply by a from_int temporary, and __mul__/__add__ used
+# to build the result before checking the one-digit floor; the reference
+# definitions below are those, written out.
+
+
+def _floor(x):
+    if not x.is_zero_flag and x.prec < 1:
+        raise PrecisionLossError(f"precision dropped to {x.prec} digits (floor 1)")
+    return x
+
+
+def _ref_mul(x, y):
+    if x.is_zero_flag:
+        return x
+    if y.is_zero_flag:
+        return y
+    prec = min(x.prec, y.prec)
+    return _floor(PAdicScalar(x.p, x.valuation + y.valuation, (x.unit * y.unit) % x.p**prec, prec))
+
+
+def _ref_add(x, y):
+    p = x.p
+    if x.is_zero_flag:
+        return y
+    if y.is_zero_flag:
+        return x
+    v = min(x.valuation, y.valuation)
+    m = min(x.valuation + x.prec - v, y.valuation + y.prec - v)
+    s = (x.unit * p ** (x.valuation - v) + y.unit * p ** (y.valuation - v)) % p**m
+    if s == 0:
+        return PAdicScalar.zero(p)
+    t = 0
+    while s % p**(t + 1) == 0:
+        t += 1
+    return _floor(PAdicScalar(p, v + t, (s // p**t) % p ** (m - t), m - t))
+
+
+def _ref_mul_int(x, n):
+    return _ref_mul(x, PAdicScalar.from_int(x.p, n, max(x.prec, 1)))
+
+
+def _outcome(fn, *args):
+    """(zero flag, valuation, unit, prec) of the result, or the error text."""
+    try:
+        r = fn(*args)
+    except PrecisionLossError as exc:
+        return str(exc)
+    return (r.is_zero_flag, r.valuation, r.unit, r.prec)
+
+
+def _random_scalar(rng, p):
+    if rng.random() < 0.1:
+        return PAdicScalar.zero(p)
+    prec = rng.choice((0, 1, 1, 2, 3, 5, 8))
+    unit = 0 if prec == 0 else rng.randrange(1, p**prec)
+    unit += unit % p == 0  # a multiple of p moves to the next integer, a unit
+    return PAdicScalar(p, rng.randrange(-3, 6), unit, prec)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 31])
+def test_kernel_matches_former_definitions(p):
+    rng = random.Random(20261019 + p)
+    ints = [0, 1, -1, p, -p, p**12, -(p**9) * 2, 3 * p**20 + p**21, p**8 - 1]
+    for _ in range(1500):
+        x, y = _random_scalar(rng, p), _random_scalar(rng, p)
+        assert _outcome(PAdicScalar.__mul__, x, y) == _outcome(_ref_mul, x, y), (x, y)
+        assert _outcome(PAdicScalar.__add__, x, y) == _outcome(_ref_add, x, y), (x, y)
+        n = rng.choice(ints) if rng.random() < 0.5 else rng.randrange(-(p**5), p**5) * p ** rng.randrange(4)
+        assert _outcome(PAdicScalar.mul_int, x, n) == _outcome(_ref_mul_int, x, n), (x, n)
+        want = [_outcome(_ref_mul_int, s, n) for s in (x, y)]
+        if any(isinstance(w, str) for w in want):
+            with pytest.raises(PrecisionLossError):
+                CoeffV3(x, y).mul_int(n)
+        else:
+            got = CoeffV3(x, y).mul_int(n)
+            assert [_outcome(lambda s: s, s) for s in (got.plain, got.v3part)] == want
+    # a nonzero product at precision 0 keeps no digit
+    digitless = PAdicScalar(p, 0, 0, 0)
+    for fn, arg in ((PAdicScalar.__mul__, PAdicScalar.from_int(p, 2, 5)), (PAdicScalar.mul_int, -2 * p**3)):
+        with pytest.raises(PrecisionLossError, match="precision dropped to 0 digits"):
+            fn(digitless, arg)
