@@ -115,10 +115,12 @@ def poly_add(a: Poly, b: Poly, p: int, sign: int = 1) -> Poly:
 
 
 def poly_scale(a: Poly, c: int, p: int) -> Poly:
-    """c * a over F_p; no coefficient vanishes unless p divides c."""
+    """c * a over F_p, a new dict; no coefficient vanishes unless p divides c."""
     c %= p
     if not c:
         return {}
+    if c == 1:
+        return dict(a)
     return {m: v * c % p for m, v in a.items()}
 
 

@@ -24,7 +24,6 @@ The Adem convention above is pinned by the five straightening identities in
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 from .arith import binom_mod, cartan, frobenius, poly_add, poly_mul, poly_pow, poly_scale
 
@@ -263,17 +262,22 @@ def _render_monomial(m: Monomial) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class RelationSpec:
     """Formal inputs of the relation and the substitution maps used by the
     factorization identity, all over the free algebra on x (and y)."""
 
-    p: int
-    algebra: DLAlgebra
-    x: DLPolynomial
-    a: list[DLPolynomial]
-    b: DLPolynomial
-    c: list[DLPolynomial]  # c[0] unused; c[1..p] as defined
+    __slots__ = ("p", "algebra", "x", "a", "b", "c")
+
+    def __init__(
+        self,
+        p: int,
+        algebra: DLAlgebra,
+        x: DLPolynomial,
+        a: list[DLPolynomial],
+        b: DLPolynomial,
+        c: list[DLPolynomial],  # c[0] unused; c[1..p] as defined
+    ):
+        self.p, self.algebra, self.x, self.a, self.b, self.c = p, algebra, x, a, b, c
 
     @classmethod
     def for_prime(cls, p: int) -> "RelationSpec":
@@ -326,13 +330,19 @@ class RelationSpec:
         return out
 
 
-@dataclass
 class RelationReport:
-    p: int
-    residual: DLPolynomial
-    identities: dict[str, bool]
-    en_threshold: int
-    residual_monomials: list[str] = field(default_factory=list)
+    __slots__ = ("p", "residual", "identities", "en_threshold", "residual_monomials")
+
+    def __init__(
+        self,
+        p: int,
+        residual: DLPolynomial,
+        identities: dict[str, bool],
+        en_threshold: int,
+        residual_monomials: list[str] | None = None,
+    ):
+        self.p, self.residual, self.identities, self.en_threshold = p, residual, identities, en_threshold
+        self.residual_monomials = [] if residual_monomials is None else residual_monomials
 
     @property
     def passed(self) -> bool:
@@ -389,12 +399,12 @@ def verify_relation(p: int) -> RelationReport:
     )
 
 
-@dataclass
 class SigmaSolution:
-    p: int
-    sigmas: list[int]  # sigma_1 .. sigma_(p-2)
-    residual: DLPolynomial
-    kernel_dimension: int
+    __slots__ = ("p", "sigmas", "residual", "kernel_dimension")
+
+    def __init__(self, p: int, sigmas: list[int], residual: DLPolynomial, kernel_dimension: int):
+        # sigmas holds sigma_1 .. sigma_(p-2)
+        self.p, self.sigmas, self.residual, self.kernel_dimension = p, sigmas, residual, kernel_dimension
 
     @property
     def verified(self) -> bool:
@@ -461,11 +471,11 @@ def _solve_mod_p(
     return sol, cols - len(pivots)
 
 
-@dataclass
 class FactorizationReport:
-    p: int
-    sigmas: list[int]
-    residual: DLPolynomial
+    __slots__ = ("p", "sigmas", "residual")
+
+    def __init__(self, p: int, sigmas: list[int], residual: DLPolynomial):
+        self.p, self.sigmas, self.residual = p, sigmas, residual
 
     @property
     def passed(self) -> bool:

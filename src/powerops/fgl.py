@@ -28,32 +28,39 @@ at degree p^3 + p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from types import MappingProxyType
 
-from .scalar import DEFAULT_PRECISION, CoeffV3, PAdicScalar, primitive_teichmuller_root
+from .scalar import DEFAULT_PRECISION, CoeffV3, Immutable, PAdicScalar, primitive_teichmuller_root
 from .series import TruncatedSeries
 
 __all__ = ["Logarithm", "FormalGroupLaw"]
 
 
-@dataclass(frozen=True)
-class Logarithm:
+class Logarithm(Immutable):
     """Coefficients m_n of x^n with m_1 = 1 and m_n a multiple of v3 for
-    n >= 2 (sparse; only nonzero entries)."""
+    n >= 2 (sparse; only nonzero entries).  `coeffs` is a read-only copy of
+    the mapping given, so the checks made here keep holding."""
 
-    p: int
-    prec: int
-    coeffs: dict[int, CoeffV3]
+    __slots__ = ("p", "prec", "coeffs")
 
-    def __post_init__(self):
-        one = CoeffV3.one(self.p, self.prec)
-        if self.coeffs.get(1) != one:
+    def __init__(self, p: int, prec: int, coeffs: dict[int, CoeffV3]):
+        if coeffs.get(1) != CoeffV3.one(p, prec):
             raise ValueError("a logarithm must have linear coefficient 1")
-        for n, c in self.coeffs.items():
+        for n, c in coeffs.items():
             if n < 1:
                 raise ValueError(f"a logarithm has no x^{n} term: exponents start at 1")
             if n >= 2 and not c.plain.is_zero():
                 raise ValueError(f"coefficient of x^{n} must be a multiple of v3")
+        _set_log_p(self, p)
+        _set_log_prec(self, prec)
+        _set_log_coeffs(self, MappingProxyType(dict(coeffs)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.prec, self.coeffs) == (other.p, other.prec, other.coeffs)
+
+    __hash__ = None
 
     @classmethod
     def additive(cls, p: int, prec: int = DEFAULT_PRECISION) -> "Logarithm":
@@ -85,14 +92,28 @@ class Logarithm:
         return z - self.correction(z)
 
 
-@dataclass(frozen=True)
-class FormalGroupLaw:
+_set_log_p = Logarithm.p.__set__
+_set_log_prec = Logarithm.prec.__set__
+_set_log_coeffs = Logarithm.coeffs.__set__
+
+
+class FormalGroupLaw(Immutable):
     """The formal group law with logarithm `log`, on which the (p-1)st roots of
     unity act through the Teichmuller lift `omega` of a primitive root; p and
     the precision are the logarithm's (see the module docstring for bounds)."""
 
-    log: Logarithm
-    omega: PAdicScalar
+    __slots__ = ("log", "omega")
+
+    def __init__(self, log: Logarithm, omega: PAdicScalar):
+        _set_law_log(self, log)
+        _set_law_omega(self, omega)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.log, self.omega) == (other.log, other.omega)
+
+    __hash__ = None
 
     @property
     def p(self) -> int:
@@ -181,3 +202,7 @@ class FormalGroupLaw:
             raise ValueError(f"closed-form chi needs log degrees = 1 mod {self.p - 1}")
         minus_one = CoeffV3.from_int(self.p, -1, self.prec)
         return TruncatedSeries.from_terms(self.p, (var,), (self._bound(bound),), {(self.p - 1,): minus_one})
+
+
+_set_law_log = FormalGroupLaw.log.__set__
+_set_law_omega = FormalGroupLaw.omega.__set__

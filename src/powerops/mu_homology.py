@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 
 from .arith import binom_mod, cartan, frobenius, poly_add, poly_mul, poly_pow, poly_scale
 from .finite_field import GaloisField
+from .scalar import Immutable
 
 __all__ = [
     "SymmetricClass",
@@ -70,17 +70,26 @@ def _canonical_newton(m: int, e: int, p: int) -> tuple[int, int]:
     return m, e
 
 
-@dataclass(frozen=True)
-class SymmetricClass:
+class SymmetricClass(Immutable):
     """F_p-linear combination of products of Newton classes.
 
     ``terms`` is an ``arith`` sparse polynomial: every coefficient lies in
     1..p-1.  The constructor trusts that; the operations keep it.
     """
 
-    p: int
-    context: str  # "b" or "xi"
-    terms: dict[NewtonMonomial, int]
+    __slots__ = ("p", "context", "terms")
+
+    def __init__(self, p: int, context: str, terms: dict[NewtonMonomial, int]):
+        _set_p(self, p)
+        _set_context(self, context)  # "b" or "xi"
+        _set_terms(self, terms)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.context, self.terms) == (other.p, other.context, other.terms)
+
+    __hash__ = None  # terms is a dict
 
     @classmethod
     def zero(cls, p: int, context: str) -> "SymmetricClass":
@@ -145,7 +154,7 @@ class SymmetricClass:
                     # through the module global, so a wrapper on newton_expand sees it
                     poly = poly_mul(poly, poly_pow(newton_expand(m, context, p), e, p), p)
                 _NEWTON_CACHE[key] = poly
-            out = poly_add(out, poly, p, c)
+            out = poly_add(out, poly, p, c) if out else poly_scale(poly, c, p)
         return out
 
     def __repr__(self) -> str:
@@ -157,6 +166,11 @@ class SymmetricClass:
             body = "*".join(f"N_{m}^{e}" if e > 1 else f"N_{m}" for m, e in mono) or "1"
             bits.append(f"{c}*{body}" if c != 1 or not mono else body)
         return " + ".join(bits)
+
+
+_set_p = SymmetricClass.p.__set__
+_set_context = SymmetricClass.context.__set__
+_set_terms = SymmetricClass.terms.__set__
 
 
 # (p, context, canonical Newton monomial): its generator polynomial, never
@@ -305,20 +319,20 @@ def _xi_newton_values(sample: list[int], top: int, fld: GaloisField, p: int) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class IdentityCheck:
-    name: str
-    passed: bool
-    method: str
-    elapsed_ms: float = 0.0
+    __slots__ = ("name", "passed", "method", "elapsed_ms")
+
+    def __init__(self, name: str, passed: bool, method: str, elapsed_ms: float = 0.0):
+        self.name, self.passed, self.method, self.elapsed_ms = name, passed, method, elapsed_ms
 
 
-@dataclass
 class PropositionReport:
-    p: int
-    context: str
-    checks: list[IdentityCheck] = field(default_factory=list)
-    _since: float = field(default_factory=time.perf_counter, init=False, repr=False, compare=False)
+    __slots__ = ("p", "context", "checks", "_since")
+
+    def __init__(self, p: int, context: str, checks: list[IdentityCheck] | None = None):
+        self.p, self.context = p, context
+        self.checks = [] if checks is None else checks
+        self._since = time.perf_counter()
 
     @property
     def passed(self) -> bool:

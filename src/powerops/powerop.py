@@ -28,7 +28,6 @@ beyond p^3 + p for every i >= 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .fgl import FormalGroupLaw, Logarithm
 from .scalar import CoeffV3, PAdicScalar
@@ -170,21 +169,32 @@ def k_series(g: TruncatedSeries, chi: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(("y", "alpha"), (g.bounds[ix], g.bounds[ia]), terms, g.p)
 
 
-@dataclass
 class PipelineTrace:
-    """All intermediate series of one pipeline run, with formula labels."""
+    """All intermediate series of one pipeline run, with formula labels
+    (a fresh copy of `STAGE_FORMULAS` unless `labels` is given)."""
 
-    p: int
-    chi: TruncatedSeries
-    angle_p: TruncatedSeries
-    g: TruncatedSeries
-    k: TruncatedSeries
-    k_inverse: TruncatedSeries
-    ell_prime_term: TruncatedSeries
-    f_source: TruncatedSeries
-    f_n: TruncatedSeries | None = None
-    h_n: TruncatedSeries | None = None
-    labels: dict[str, str] = field(default_factory=lambda: dict(STAGE_FORMULAS))
+    __slots__ = (
+        "p", "chi", "angle_p", "g", "k", "k_inverse", "ell_prime_term", "f_source", "f_n", "h_n", "labels"
+    )
+
+    def __init__(
+        self,
+        p: int,
+        chi: TruncatedSeries,
+        angle_p: TruncatedSeries,
+        g: TruncatedSeries,
+        k: TruncatedSeries,
+        k_inverse: TruncatedSeries,
+        ell_prime_term: TruncatedSeries,
+        f_source: TruncatedSeries,
+        f_n: TruncatedSeries | None = None,
+        h_n: TruncatedSeries | None = None,
+        labels: dict[str, str] | None = None,
+    ):
+        self.p, self.chi, self.angle_p, self.g, self.k = p, chi, angle_p, g, k
+        self.k_inverse, self.ell_prime_term, self.f_source = k_inverse, ell_prime_term, f_source
+        self.f_n, self.h_n = f_n, h_n
+        self.labels = dict(STAGE_FORMULAS) if labels is None else labels
 
 
 def run_pipeline(F: FormalGroupLaw, x_bound: int, alpha_bound: int) -> PipelineTrace:
@@ -246,13 +256,13 @@ def h_polynomial(f_n: TruncatedSeries, angle: TruncatedSeries, n: int) -> Trunca
     return TruncatedSeries(f_n.vars, f_n.bounds, h.terms, f_n.p)
 
 
-@dataclass
 class PowerOpResult:
     """Normalized value of chi^n * (power operation on the 2n-class)."""
 
-    n: int
-    value: QuotientNormalForm
-    trace: PipelineTrace
+    __slots__ = ("n", "value", "trace")
+
+    def __init__(self, n: int, value: QuotientNormalForm, trace: PipelineTrace):
+        self.n, self.value, self.trace = n, value, trace
 
 
 def power_operation_value(

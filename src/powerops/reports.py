@@ -7,10 +7,8 @@ the elapsed-time fields.
 
 from __future__ import annotations
 
-import inspect
 import math
 import time
-from dataclasses import dataclass, field, asdict
 
 from . import dl, mu_homology, powerop
 from .arith import binary_power, poly_mul
@@ -31,21 +29,38 @@ SUITES = ("powerop", "stdl", "mudl", "relation", "sigma", "factorization")
 EXTRA_SUITES = ("congruences", "properties")
 
 
-@dataclass
 class Check:
-    name: str
-    status: str  # pass | fail
-    expected: str = ""
-    actual: str = ""
-    precision_digits: int | None = None
-    elapsed_ms: float = 0.0
+    __slots__ = ("name", "status", "expected", "actual", "precision_digits", "elapsed_ms")
+
+    def __init__(
+        self,
+        name: str,
+        status: str,  # pass | fail
+        expected: str = "",
+        actual: str = "",
+        precision_digits: int | None = None,
+        elapsed_ms: float = 0.0,
+    ):
+        self.name, self.status, self.expected, self.actual = name, status, expected, actual
+        self.precision_digits, self.elapsed_ms = precision_digits, elapsed_ms
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "status": self.status,
+            "expected": self.expected,
+            "actual": self.actual,
+            "precision_digits": self.precision_digits,
+            "elapsed_ms": self.elapsed_ms,
+        }
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    prime: int
-    checks: list[Check] = field(default_factory=list)
+    __slots__ = ("suite", "prime", "checks")
+
+    def __init__(self, suite: str, prime: int, checks: list[Check] | None = None):
+        self.suite, self.prime = suite, prime
+        self.checks = [] if checks is None else checks
 
     @property
     def overall(self) -> str:
@@ -56,7 +71,7 @@ class SuiteReport:
             "suite": self.suite,
             "prime": self.prime,
             "overall": self.overall,
-            "checks": [asdict(c) for c in sorted(self.checks, key=lambda c: c.name)],
+            "checks": [c.to_dict() for c in sorted(self.checks, key=lambda c: c.name)],
         }
         return d
 
@@ -370,8 +385,10 @@ _RUNNERS = {
 
 
 def suite_options(name: str) -> set[str]:
-    """The keyword options a suite reads, such as ``precision`` or ``seed``."""
-    return set(inspect.signature(_RUNNERS[name]).parameters) - {"p"}
+    """The keyword options a suite reads, such as ``precision`` or ``seed``:
+    the runner's parameter names other than p."""
+    code = _RUNNERS[name].__code__
+    return set(code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]) - {"p"}
 
 
 def run_suite(name: str, p: int, **options) -> SuiteReport:

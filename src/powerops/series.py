@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
 from itertools import chain
 from operator import add, lt
 
@@ -473,8 +472,7 @@ def divide_by_alpha_power(f: TruncatedSeries, m: int, var: str = "alpha") -> Tru
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientNormalForm:
+class QuotientNormalForm(Immutable):
     """Canonical representative modulo the p-series of the target law.
 
     For alpha-degree >= 1 both components of each coefficient are reduced to
@@ -483,10 +481,25 @@ class QuotientNormalForm:
     alpha^(p^3).  The constant term is kept at full precision.
     """
 
-    p: int
-    constant: CoeffV3
-    plain: dict[int, int]
-    v3: dict[int, int]
+    __slots__ = ("p", "constant", "plain", "v3")
+
+    def __init__(self, p: int, constant: CoeffV3, plain: dict[int, int], v3: dict[int, int]):
+        _set_form_p(self, p)
+        _set_form_constant(self, constant)
+        _set_form_plain(self, plain)
+        _set_form_v3(self, v3)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.constant, self.plain, self.v3) == (
+            other.p,
+            other.constant,
+            other.plain,
+            other.v3,
+        )
+
+    __hash__ = None  # plain and v3 are dicts
 
     def is_zero(self) -> bool:
         return self.constant.is_zero() and not self.plain and not self.v3
@@ -499,8 +512,6 @@ class QuotientNormalForm:
             PAdicScalar.from_int(self.p, self.plain.get(k, 0), 1),
             PAdicScalar.from_int(self.p, self.v3.get(k, 0), 1),
         )
-
-    __hash__ = None  # plain and v3 are dicts
 
     def render(self) -> str:
         """Human-readable form with signed residues, e.g. '-v3 * alpha^104'."""
@@ -524,6 +535,12 @@ class QuotientNormalForm:
             else:
                 out += (" - " if neg else " + ") + term
         return out
+
+
+_set_form_p = QuotientNormalForm.p.__set__
+_set_form_constant = QuotientNormalForm.constant.__set__
+_set_form_plain = QuotientNormalForm.plain.__set__
+_set_form_v3 = QuotientNormalForm.v3.__set__
 
 
 def quotient_normalize(f: TruncatedSeries) -> QuotientNormalForm:

@@ -141,3 +141,34 @@ def test_golden_reports(p):
     got = json.dumps(report, indent=2, sort_keys=True) + "\n"
     want = (GOLDEN / f"verify_p{p}.json").read_text()
     assert got == want
+
+
+def test_suite_options_are_the_parameters_each_runner_reads():
+    got = {name: reports.suite_options(name) for name in reports.SUITES + reports.EXTRA_SUITES}
+    assert got == {
+        "powerop": {"precision"},
+        "stdl": set(),
+        "mudl": {"seed"},
+        "relation": set(),
+        "sigma": set(),
+        "factorization": set(),
+        "congruences": set(),
+        "properties": {"precision", "seed"},
+    }
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every command pays for the package import; pytest itself loads both
+    # modules, so only a fresh interpreter can tell
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import powerops.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,9 +1,13 @@
-"""The slotted value types: immutable, unhashable, shared zeros, and the
-equality a frozen dataclass would have generated."""
+"""The slotted value types: immutable, unhashable, shared zeros, and an
+equality that compares every field.  The slotted records: a list or dict
+left at its default is a new one per instance."""
 
 import pytest
 
-from powerops.scalar import CoeffV3, PAdicScalar
+from powerops import dl, mu_homology, powerop, reports
+from powerops.fgl import FormalGroupLaw, Logarithm
+from powerops.mu_homology import SymmetricClass
+from powerops.scalar import CoeffV3, PAdicScalar, primitive_teichmuller_root
 from powerops.series import QuotientNormalForm, TruncatedSeries
 
 P, K = 5, 8
@@ -17,10 +21,15 @@ def values():
         (CoeffV3(PAdicScalar.from_int(P, 2, K), PAdicScalar.from_int(P, 3, K)), ("plain", "v3part")),
         (CoeffV3.zero(P), ("plain", "v3part")),
         (x, ("vars", "bounds", "terms", "p")),
+        (Logarithm.v3_deformation(P, K), ("p", "prec", "coeffs")),
+        (FormalGroupLaw.v3_truncated(P, K), ("log", "omega")),
+        (QuotientNormalForm(P, CoeffV3.from_int(P, 2, K), {4: 1}, {7: 3}), ("p", "constant", "plain", "v3")),
+        (SymmetricClass.newton(P, "b", 4, 2), ("p", "context", "terms")),
     ]
 
 
-IDS = ["scalar", "scalar_zero", "coeff", "coeff_zero", "series"]
+VALUE_IDS = ["logarithm", "law", "normal_form", "symmetric_class"]
+IDS = ["scalar", "scalar_zero", "coeff", "coeff_zero", "series", *VALUE_IDS]
 
 
 @pytest.mark.parametrize("obj, fields", values(), ids=IDS)
@@ -79,3 +88,49 @@ def test_normal_form_equality_compares_every_field_and_is_unhashable():
     assert form({7: 3}) != QuotientNormalForm(P, CoeffV3.from_int(P, 2, K), {4: 2}, {7: 3})
     with pytest.raises(TypeError):
         hash(form({}))
+
+
+def _variants():
+    """Per value type: a builder, its arguments, and one changed value for
+    each field in order; None where a field cannot change alone (the
+    coefficients of a logarithm carry its p)."""
+    one, v3 = CoeffV3.one(P, K), CoeffV3.from_v3(PAdicScalar.from_int(P, 1, K))
+    w = primitive_teichmuller_root(P, K)
+    return [
+        (Logarithm, (P, K, {1: one, 2: v3}), (None, K + 1, {1: one, 3: v3})),
+        (
+            FormalGroupLaw,
+            (Logarithm.v3_deformation(P, K), w),
+            (Logarithm.additive(P, K), w * w),
+        ),
+        (
+            QuotientNormalForm,
+            (P, CoeffV3.from_int(P, 2, K), {4: 1}, {7: 3}),
+            (7, CoeffV3.from_int(P, 3, K), {4: 2}, {7: 2}),
+        ),
+        (SymmetricClass, (P, "b", {((4, 1),): 2}), (7, "xi", {((4, 1),): 3})),
+    ]
+
+
+@pytest.mark.parametrize("cls, args, changed", _variants(), ids=VALUE_IDS)
+def test_value_equality_compares_every_field(cls, args, changed):
+    assert cls(*args) == cls(*args)
+    assert (cls(*args) == 0) is False
+    for i, value in enumerate(changed):
+        if value is not None:
+            assert cls(*args) != cls(*args[:i], value, *args[i + 1 :])
+
+
+def test_record_defaults_are_fresh_per_instance():
+    x = TruncatedSeries.variable(P, "x", ("x",), (3,), K)
+    made = [
+        (lambda: powerop.PipelineTrace(P, *[x] * 7), "labels", powerop.STAGE_FORMULAS),
+        (lambda: dl.RelationReport(P, None, {}, 0), "residual_monomials", []),
+        (lambda: mu_homology.PropositionReport(P, "b"), "checks", []),
+        (lambda: reports.SuiteReport("stdl", P), "checks", []),
+    ]
+    for make, name, want in made:
+        a, b = make(), make()
+        assert getattr(a, name) == want
+        assert getattr(a, name) is not getattr(b, name)
+        assert getattr(a, name) is not want
