@@ -44,14 +44,19 @@ for q in (3, 5, 7):
 
 print()
 print("== randomized evaluation through the symmetric specialization ==")
-fld = GaloisField(5, 4)
+q = 5
+lhs = q_on_product(q * q - q + 1, [(q - 1, q - 1)], "b", q)
+n8 = SymmetricClass.newton(q, "b", 2 * (q - 1))
+rhs = SymmetricClass.newton(q, "b", q - 1).pow((q - 2) * q) * n8.pow(q)
+print(f"identity 4 at p={q}: lhs - rhs has {len((lhs - rhs).terms)} Newton terms,",
+      "so Newton-monomial cancellation decides it and no point is evaluated")
+wrong = lhs - rhs + n8  # lhs against the false side rhs - N_8
+fld = GaloisField(q, 4)
 rng = random.Random(0)
-lhs = q_on_product(5 * 5 - 5 + 1, [(4, 4)], "b", 5)
-rhs = SymmetricClass.newton(5, "b", 4).pow(15) * SymmetricClass.newton(5, "b", 8).pow(5)
-diff = lhs - rhs
-M = diff.weighted_degree() or 1
+M = wrong.weighted_degree()
 hits = sum(
-    symmetric_evaluate(diff, [fld.sample(rng) for _ in range(M)], fld) == 0
+    symmetric_evaluate(wrong, [fld.sample(rng) for _ in range(M)], fld) != 0
     for _ in range(8)
 )
-print(f"difference evaluates to 0 on {hits}/8 random samples over F_(5^4)")
+print(f"lhs - (rhs - N_8) = N_8 is nonzero on {hits}/8 random samples over F_(5^4):",
+      "the sampled route catches the false side")

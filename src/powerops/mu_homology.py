@@ -56,7 +56,9 @@ def default_budget(p: int) -> int:
 
 
 DEFAULT_SAMPLES = 64
-_EXT_DEGREE = 4  # F_(p^4): degree/field-size stays below 1/4 for p in {5,7}
+# the sampled route evaluates in F_(p^4), built only for a nonzero difference;
+# degree/field-size stays below 1/4 for p in {5,7}
+_EXT_DEGREE = 4
 
 NewtonMonomial = tuple[tuple[int, int], ...]  # ((index coprime to p, exponent), ...)
 GenPoly = dict[tuple[tuple[int, int], ...], int]  # generator-index monomials
@@ -358,16 +360,11 @@ def _equal_symbolic(a: SymmetricClass, b: SymmetricClass) -> bool:
     return (a - b).is_zero()
 
 
-def _equal_sampled(
-    a: SymmetricClass,
-    b: SymmetricClass,
-    samples: int,
-    rng: random.Random,
-    fld: GaloisField,
-) -> bool:
+def _equal_sampled(a: SymmetricClass, b: SymmetricClass, samples: int, rng: random.Random) -> bool:
     diff = a - b
     if diff.is_zero():
         return True
+    fld = GaloisField(diff.p, _EXT_DEGREE)
     M = diff.weighted_degree()
     for _ in range(samples):
         sample = [fld.sample(rng) for _ in range(M)]
@@ -441,10 +438,10 @@ def verify_mudl(p: int, seed: int = 0) -> PropositionReport:
     trusted.  At p >= 5 it is labelled
     sampled(DEFAULT_SAMPLES, F_p^4), but `_equal_sampled` returns as soon as
     lhs - rhs is the zero Newton polynomial, which it is at every prime in
-    scope, so no point is evaluated: the check is decided by Newton-monomial
-    cancellation.  Only a nonzero difference would be evaluated over
-    F_(p^4), with failure probability below (degree / p^4)^DEFAULT_SAMPLES
-    < 2^-30.
+    scope, so no point is evaluated and no field is built: the check is
+    decided by Newton-monomial cancellation.  Only a nonzero difference
+    would be evaluated, over an F_(p^4) built for it, with failure
+    probability below (degree / p^4)^DEFAULT_SAMPLES < 2^-30.
     """
     rep = PropositionReport(p, "b")
     half = (p + 1) // 2  # 1/2 mod p
@@ -470,8 +467,7 @@ def verify_mudl(p: int, seed: int = 0) -> PropositionReport:
         ok4 = _equal_exact(lhs, rhs)
         method4 = "exact-expansion"
     else:
-        fld = GaloisField(p, _EXT_DEGREE)
-        ok4 = _equal_sampled(lhs, rhs, DEFAULT_SAMPLES, random.Random(seed), fld)
+        ok4 = _equal_sampled(lhs, rhs, DEFAULT_SAMPLES, random.Random(seed))
         method4 = f"sampled({DEFAULT_SAMPLES}, F_{p}^{_EXT_DEGREE})"
     rep.add("q_on_power_top", ok4, method4)
 

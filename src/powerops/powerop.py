@@ -207,14 +207,15 @@ def run_pipeline(F: FormalGroupLaw, x_bound: int, alpha_bound: int) -> PipelineT
     chik = _lift(chi, kinv.vars, kinv.bounds) * kinv
     ell_prime = _log_derivative_of(F.log, chik)
     # the logarithm derivative only contributes beyond y^(p^3 - 1), which is
-    # past the y bound; assert it rather than assuming it
+    # past the y bound; assert it rather than assuming it, so that the source
+    # of f_n is (k^(-1))' alone
     one = TruncatedSeries.one(F.p, ell_prime.vars, ell_prime.bounds, F.prec)
     if not (ell_prime - one).is_zero():
         raise ArithmeticError("(log)'(chi k^(-1)) contributed below the y bound")
     dkinv = kinv.with_bounds(
         tuple(b + 1 if v == "y" else b for v, b in zip(kinv.vars, kinv.bounds))
     ).derivative("y")
-    return PipelineTrace(F.p, chi, angle, g, k, kinv, ell_prime, ell_prime * dkinv)
+    return PipelineTrace(F.p, chi, angle, g, k, kinv, ell_prime, dkinv)
 
 
 def _log_derivative_of(log: Logarithm, w: TruncatedSeries) -> TruncatedSeries:

@@ -187,43 +187,95 @@ def test_mudl_display4_exact_vs_sampled(p):
     assert {c.name: c.method for c in rep.checks}["q_on_power_top"] == f"sampled(64, F_{p}^4)"
 
 
-def test_mudl_builds_no_field_tables(monkeypatch):
-    # the sampled route decides identity 4 without reading the field, so the
-    # F_(p^4) tables (p^4 entries, 29 261 raw products at p = 13) are never built
+def test_mudl_builds_no_field(monkeypatch):
+    # identity 4's sides cancel as Newton polynomials at every prime in scope,
+    # so the sampled route has nothing to evaluate and builds no F_(p^4)
     calls = [0]
-    raw_mul = GaloisField._raw_mul
+    init = GaloisField.__init__
 
-    def counting_raw_mul(self, a, b):
+    def counting_init(self, p, e):
         calls[0] += 1
-        return raw_mul(self, a, b)
+        init(self, p, e)
 
-    monkeypatch.setattr(GaloisField, "_raw_mul", counting_raw_mul)
-    assert verify_mudl(13).passed
+    monkeypatch.setattr(GaloisField, "__init__", counting_init)
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+        rep = verify_mudl(p)
+        assert rep.passed
+        assert {c.name: c.method for c in rep.checks}["q_on_power_top"] == f"sampled(64, F_{p}^4)"
     assert calls[0] == 0
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_sampled_route_evaluates_a_nonzero_difference(p):
+    # N_(p-1)^2 against N_(p-1)^2 + N_(2(p-1)): the difference is a nonzero
+    # Newton polynomial, so the route must evaluate it and catch it
+    n1 = SymmetricClass.newton(p, "b", p - 1)
+    n2 = SymmetricClass.newton(p, "b", 2 * (p - 1))
+    square = n1.pow(2)
+    assert not mu_homology._equal_sampled(square, square + n2, 64, random.Random(0))
+    assert mu_homology._equal_sampled(square, n1 * n1, 64, random.Random(0))
 
 
 def _digits(a, p, e):
     return [a // p**i % p for i in range(e)]
 
 
+def _reference_mul(fld, a, b):
+    """Schoolbook product of the digit vectors, reduced modulo the modulus."""
+    p, e, f = fld.p, fld.e, fld.modulus
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(_digits(a, p, e)):
+        for j, y in enumerate(_digits(b, p, e)):
+            prod[i + j] += x * y
+    for i in range(2 * e - 2, e - 1, -1):
+        c = prod[i]
+        for j in range(e + 1):
+            prod[i - e + j] -= c * f[j]
+    return sum(d % p * p**i for i, d in enumerate(prod[:e]))
+
+
 @pytest.mark.parametrize("p, e, pairs", [(3, 2, None), (5, 2, None), (5, 4, 200)])
-def test_field_tables_agree_with_raw_arithmetic(p, e, pairs):
-    # the table-driven operations against polynomial multiplication modulo
-    # the modulus and base-p digit arithmetic, on every pair or a sample
+def test_field_arithmetic_matches_reference(p, e, pairs):
+    # every operation against this file's own reference, on every pair or a
+    # sample: products mod the modulus, digit sums and repeated products
     fld = GaloisField(p, e)
-    assert "_digits" not in vars(fld) and "_tables" not in vars(fld)  # built on first use
     if pairs is None:
         todo = [(a, b) for a in range(fld.size) for b in range(fld.size)]
     else:
         rng = random.Random(1)
         todo = [(fld.sample(rng), fld.sample(rng)) for _ in range(pairs)]
     for a, b in todo:
-        assert fld.mul(a, b) == fld._raw_mul(a, b)
-        assert fld.pow(a, b) == fld._pow_raw(a, b)
+        assert fld.mul(a, b) == _reference_mul(fld, a, b)
         digits = [(x + y) % p for x, y in zip(_digits(a, p, e), _digits(b, p, e))]
         assert fld.add(a, b) == sum(d * p**i for i, d in enumerate(digits))
         # an integer c is the constant field element c mod p
-        assert fld.mul_int(a, b) == fld._raw_mul(a, b % p)
+        assert fld.mul_int(a, b) == _reference_mul(fld, a, b % p)
+        power = 1
+        for _ in range(b):
+            power = fld.mul(power, a)
+        assert fld.pow(a, b) == power
+
+
+# a different modulus renumbers the field's elements, and with them every
+# seeded sample the sampled route draws
+PINNED_MODULI = {
+    2: {3: [2, 1, 1], 5: [4, 2, 1], 7: [2, 5, 1], 11: [9, 8, 1], 13: [4, 6, 1], 17: [11, 7, 1],
+        19: [2, 15, 1], 23: [16, 11, 1], 29: [21, 26, 1], 31: [28, 28, 1]},
+    4: {3: [2, 2, 1, 1, 1], 5: [3, 2, 4, 3, 1], 7: [3, 2, 3, 2, 1], 11: [4, 5, 8, 5, 1],
+        13: [5, 2, 12, 5, 1], 17: [5, 13, 9, 3, 1], 19: [4, 13, 11, 15, 1], 23: [6, 1, 6, 5, 1],
+        29: [7, 13, 21, 20, 1], 31: [11, 20, 14, 0, 1]},
+}
+
+
+def test_field_moduli_are_pinned():
+    got = {e: {p: GaloisField(p, e).modulus for p in moduli} for e, moduli in PINNED_MODULI.items()}
+    assert got == PINNED_MODULI
+
+
+@pytest.mark.parametrize("e", [0, 6, 12])
+def test_field_degree_must_be_a_prime_power(e):
+    with pytest.raises(ValueError):
+        GaloisField(5, e)
 
 
 def _identity4_sides(p):
