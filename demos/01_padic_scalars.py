@@ -1,12 +1,12 @@
 """Fixed-precision p-adic arithmetic and Teichmuller lifts, the scalar layer
 everything else sits on."""
 
+import math
+
 from powerops.scalar import (
     PAdicScalar,
     CoeffV3,
-    binomial_scalar,
     primitive_teichmuller_root,
-    reduce_mod_p,
     teichmuller,
 )
 
@@ -29,11 +29,11 @@ print("w^(p-1):", root ** (p - 1))
 print()
 print("== the binomial congruences the final values reduce through ==")
 for q in (3, 5, 7, 11, 13):
-    c1 = binomial_scalar(q, 2 * q, 2, K) / PAdicScalar.from_int(q, q, K)
-    c2 = binomial_scalar(q, q * q, q, K) / PAdicScalar.from_int(q, q, K)
+    c1 = PAdicScalar.from_int(q, math.comb(2 * q, 2), K) / PAdicScalar.from_int(q, q, K)
+    c2 = PAdicScalar.from_int(q, math.comb(q * q, q), K) / PAdicScalar.from_int(q, q, K)
     print(
-        f"p={q:>2}:  C(2p,2)/p = {reduce_mod_p(c1) - q} mod p,"
-        f"  C(p^2,p)/p = {reduce_mod_p(c2)} mod p"
+        f"p={q:>2}:  C(2p,2)/p = {c1.residue() - q} mod p,"
+        f"  C(p^2,p)/p = {c2.residue()} mod p"
     )
 
 print()

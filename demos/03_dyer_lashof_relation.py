@@ -31,7 +31,7 @@ for q in (3, 5):
 
 rel = RelationSpec.for_prime(3)
 print("drop one term and the residual reappears:",
-      not rel.relation_value(drop_bp_term=True).is_zero())
+      not rel.relation_value(b=rel.algebra.zero()).is_zero())
 
 print()
 print("== sigma coefficients and the factorization identity ==")

@@ -7,8 +7,6 @@ from .scalar import (
     PrecisionLossError,
     teichmuller,
     primitive_teichmuller_root,
-    reduce_mod_p,
-    binomial_scalar,
 )
 from .series import (
     TruncatedSeries,

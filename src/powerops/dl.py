@@ -306,7 +306,6 @@ class RelationSpec:
         a: list[DLPolynomial] | None = None,
         b: DLPolynomial | None = None,
         c: list[DLPolynomial] | None = None,
-        drop_bp_term: bool = False,
     ) -> DLPolynomial:
         """The grand sum; zero when evaluated on the defining inputs."""
         p = self.p
@@ -322,8 +321,7 @@ class RelationSpec:
             sign = -1 if i % 2 else 1
             out = out + a[i].q(p**3 + p - i) * sign
         out = out + a[p - 1].q(p**3 + 1)
-        if not drop_bp_term:
-            out = out + b.frob() * qqx
+        out = out + b.frob() * qqx
         for i in range(1, p):
             out = out + xp1.q(p * p - p - i + 1).frob() * c[i]
         out = out + xp1.pow(p).frob() * c[p].q(2 * p * p - p)

@@ -1,4 +1,6 @@
-"""Small finite extension fields F_(p^e) by digit-vector arithmetic.
+"""Small finite extension fields F_(p^e) by digit-vector arithmetic, for the
+randomized checks: `mu_homology.symmetric_evaluate` evaluates b-context
+Newton classes at points of such a field.
 
 Elements are ints packing base-p coefficient vectors of residues modulo a
 monic irreducible polynomial of degree e.  Every operation unpacks its

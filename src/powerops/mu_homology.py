@@ -7,9 +7,10 @@ Two equality routes are kept deliberately independent:
   the power sums N_m with p not dividing m are algebraically independent
   (every N_(pm) is rewritten as N_m^p first);
 * expansion to generator polynomials (cheap in the xi-context, where only
-  the indices p^k - 1 carry a generator), or randomized evaluation through
-  the elementary-symmetric specialization t_i -> e_i(sample), under which
-  every N_m evaluates to the power sum of the sample.
+  the indices p^k - 1 carry a generator), or, for a b-context class only,
+  randomized evaluation through the elementary-symmetric specialization
+  t_i -> e_i(sample), under which every N_m evaluates to the power sum of
+  the sample.
 
 Expansion is memoized per canonical Newton monomial, so two sides that are
 the same Newton monomial share one expansion.  It stays independent of
@@ -248,22 +249,23 @@ def q_on_product(s: int, factors: list[tuple[int, int]], context: str, p: int) -
 
 
 def symmetric_evaluate(cls: SymmetricClass, sample: list[int], fld: GaloisField) -> int:
-    """Evaluate at t_i = e_i(sample), under which N_m is the power sum
-    sum_j sample_j^m (b-context) or the recursion value with only the
-    t_(p^k-1) slots filled (xi-context).
+    """Evaluate a b-context class at t_i = e_i(sample), under which N_m is
+    the power sum sum_j sample_j^m.  An xi-context class raises ValueError:
+    no check evaluates one.
 
     Requires len(sample) >= the weighted degree of the class, so that a
     nonzero class stays a nonzero polynomial in the sample entries.
     """
-    M = len(sample)
-    if M < cls.weighted_degree():
+    if cls.context != "b":
+        raise ValueError(f"only b-context classes are evaluated, got {cls.context!r}")
+    if len(sample) < cls.weighted_degree():
         raise ValueError("sample too small for the degree of the class")
-    needed = sorted({m for mono in cls.terms for m, _ in mono})
-    if cls.context == "b":
-        values = _power_sums(sample, needed, fld)
-    else:
-        top = max(needed, default=0)
-        values = _xi_newton_values(sample, top, fld, cls.p)
+    values = {}
+    for m in sorted({m for mono in cls.terms for m, _ in mono}):
+        acc = 0
+        for x in sample:
+            acc = fld.add(acc, fld.pow(x, m))
+        values[m] = acc
     total = 0
     for mono, c in cls.terms.items():
         term = 1
@@ -271,49 +273,6 @@ def symmetric_evaluate(cls: SymmetricClass, sample: list[int], fld: GaloisField)
             term = fld.mul(term, fld.pow(values[m], e))
         total = fld.add(total, fld.mul_int(term, c))
     return total
-
-
-def _power_sums(sample: list[int], indices: list[int], fld: GaloisField) -> dict[int, int]:
-    out = {}
-    for m in indices:
-        acc = 0
-        for x in sample:
-            acc = fld.add(acc, fld.pow(x, m))
-        out[m] = acc
-    return out
-
-
-def _elementary_symmetric(sample: list[int], top: int, fld: GaloisField) -> list[int]:
-    """e_0..e_top of the sample."""
-    es = [1] + [0] * top
-    for x in sample:
-        for i in range(min(top, len(es) - 1), 0, -1):
-            es[i] = fld.add(es[i], fld.mul(x, es[i - 1]))
-    return es
-
-
-def _xi_newton_values(sample: list[int], top: int, fld: GaloisField, p: int) -> dict[int, int]:
-    """N_m(xi)(sample) for all m <= top via the specialized recursion."""
-    es = _elementary_symmetric(sample, top, fld)
-    slots = {}
-    q = p
-    while q - 1 <= top:
-        slots[q - 1] = es[q - 1]
-        q *= p
-    memo = [0] * (top + 1)
-    for m in range(1, top + 1):
-        acc = 0
-        for j, tj in slots.items():
-            if j > m:
-                continue
-            sign = 1 if (j - 1) % 2 == 0 else -1
-            if j == m:
-                contrib = fld.mul_int(tj, sign * m % p)
-            else:
-                contrib = fld.mul_int(fld.mul(tj, memo[m - j]), sign % p)
-            acc = fld.add(acc, contrib)
-        memo[m] = acc
-    return {m: memo[m] for m in range(1, top + 1)}
 
 
 # ---------------------------------------------------------------------------

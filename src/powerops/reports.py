@@ -56,11 +56,15 @@ class Check:
 
 
 class SuiteReport:
-    __slots__ = ("suite", "prime", "checks")
+    """One suite's checks.  `precision` is the digit count every check added
+    afterwards records; it is None unless the suite works at a precision."""
+
+    __slots__ = ("suite", "prime", "checks", "precision")
 
     def __init__(self, suite: str, prime: int, checks: list[Check] | None = None):
         self.suite, self.prime = suite, prime
         self.checks = [] if checks is None else checks
+        self.precision: int | None = None
 
     @property
     def overall(self) -> str:
@@ -75,12 +79,6 @@ class SuiteReport:
         }
         return d
 
-
-class _Recorder:
-    def __init__(self, report: SuiteReport, precision: int | None = None):
-        self.report = report
-        self.precision = precision
-
     def add(
         self,
         name: str,
@@ -89,21 +87,13 @@ class _Recorder:
         actual: str = "",
         t0: float | None = None,
         ms: float = 0.0,
-    ):
+    ) -> None:
         """Record a check; its time is measured from t0 when that is given,
         else it is `ms`."""
         if t0 is not None:
             ms = (time.perf_counter() - t0) * 1000
-        self.report.checks.append(
-            Check(
-                name,
-                "pass" if passed else "fail",
-                expected,
-                actual,
-                self.precision,
-                round(ms, 3),
-            )
-        )
+        status = "pass" if passed else "fail"
+        self.checks.append(Check(name, status, expected, actual, self.precision, round(ms, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -121,30 +111,30 @@ def _expected_value_string(p: int, i: int) -> str:
 
 def suite_powerop(p: int, precision: int = DEFAULT_PRECISION) -> SuiteReport:
     rep = SuiteReport("powerop", p)
-    rec = _Recorder(rep, precision)
+    rep.precision = precision
     F = FormalGroupLaw.v3_truncated(p, precision)
 
     t0 = time.perf_counter()
     roots = (F.scalar_series(F.omega**i, "alpha") for i in range(1, p))  # the oracle of chi
     product = math.prod(roots, start=TruncatedSeries.one(p, ("alpha",), (p**3 + p,), precision))
-    rec.add("euler_class", product == F.euler_class(), "-alpha^(p-1)", repr(product), t0)
+    rep.add("euler_class", product == F.euler_class(), "-alpha^(p-1)", repr(product), t0)
 
     t0 = time.perf_counter()
     generic = divide_by_alpha_power(F.p_series("alpha"), 1)  # the oracle of <p>
     want = "p - (p^(p^3-1)-1) v3 alpha^(p^3-1)"
-    rec.add("angle_p_series", generic == F.angle_p_series(), want, repr(generic), t0)
+    rep.add("angle_p_series", generic == F.angle_p_series(), want, repr(generic), t0)
 
     for i in (2, p):
         t0 = time.perf_counter()
         res = powerop.power_operation_value(F, i)
         got = res.value.render()
         want = _expected_value_string(p, i)
-        rec.add(f"value_i{i}", got == want, want, got, t0)
+        rep.add(f"value_i{i}", got == want, want, got, t0)
         k = p * p + p - 1 if i == 2 else p * p + 1
         c = powerop.sigma_dl_coefficient(res, k)
         witness = c.v3part.residue() if not c.v3part.is_zero() else 0
         want_w = 1 if i == 2 else p - 1
-        rec.add(
+        rep.add(
             f"dl_extraction_k{k}",
             witness == want_w and c.plain.is_zero(),
             f"{1 if i == 2 else -1} * sigma-class",
@@ -156,9 +146,8 @@ def suite_powerop(p: int, precision: int = DEFAULT_PRECISION) -> SuiteReport:
 def _proposition_suite(name: str, p: int, result: mu_homology.PropositionReport) -> SuiteReport:
     """A suite report of the Newton-class identities, each with its own time."""
     rep = SuiteReport(name, p)
-    rec = _Recorder(rep)
     for c in result.checks:
-        rec.add(c.name, c.passed, "0", c.method, ms=c.elapsed_ms)
+        rep.add(c.name, c.passed, "0", c.method, ms=c.elapsed_ms)
     return rep
 
 
@@ -172,15 +161,14 @@ def suite_mudl(p: int, seed: int = 0) -> SuiteReport:
 
 def suite_relation(p: int) -> SuiteReport:
     rep = SuiteReport("relation", p)
-    rec = _Recorder(rep)
     threshold = dl.relation_en_threshold(p)
-    rec.add(
+    rep.add(
         "en_threshold",
         threshold == 2 * (p * p + 2),
         f"{2 * (p * p + 2)}",
         f"{threshold}",
     )
-    rec.add(
+    rep.add(
         "top_operation_definedness",
         dl.op_definedness(threshold, p**3 + p, 2 * (p - 1) * (p**2 + 1))
         == "defined_with_properties",
@@ -189,7 +177,7 @@ def suite_relation(p: int) -> SuiteReport:
     )
     t0 = time.perf_counter()
     result = dl.verify_relation(p)
-    rec.add(
+    rep.add(
         "grand_relation",
         result.residual.is_zero(),
         "0",
@@ -197,32 +185,30 @@ def suite_relation(p: int) -> SuiteReport:
         t0,
     )
     for name, ok in result.identities.items():
-        rec.add(f"identity_{name}", ok, "holds", "holds" if ok else "fails")
+        rep.add(f"identity_{name}", ok, "holds", "holds" if ok else "fails")
     return rep
 
 
 def suite_sigma(p: int) -> SuiteReport:
     rep = SuiteReport("sigma", p)
-    rec = _Recorder(rep)
     t0 = time.perf_counter()
     sol = dl.solve_sigma(p)
-    rec.add(
+    rep.add(
         "solved",
         sol.kernel_dimension == 0,
         "unique solution",
         f"sigma = {sol.sigmas}, kernel dim {sol.kernel_dimension}",
         t0,
     )
-    rec.add("substitution_residual", sol.residual.is_zero(), "0", repr(sol.residual)[:80])
+    rep.add("substitution_residual", sol.residual.is_zero(), "0", repr(sol.residual)[:80])
     return rep
 
 
 def suite_factorization(p: int) -> SuiteReport:
     rep = SuiteReport("factorization", p)
-    rec = _Recorder(rep)
     t0 = time.perf_counter()
     result = dl.verify_factorization(p)
-    rec.add(
+    rep.add(
         "mu_R_equals_Qbar_nu_plus_beta_alpha",
         result.passed,
         "0",
@@ -234,11 +220,10 @@ def suite_factorization(p: int) -> SuiteReport:
 
 def suite_congruences(p: int) -> SuiteReport:
     rep = SuiteReport("congruences", p)
-    rec = _Recorder(rep)
     v1 = (math.comb(2 * p, 2) // p) % p
-    rec.add("binom_2p_2_over_p", v1 == p - 1, "-1 mod p", str(v1 - p))
+    rep.add("binom_2p_2_over_p", v1 == p - 1, "-1 mod p", str(v1 - p))
     v2 = (math.comb(p * p, p) // p) % p
-    rec.add("binom_p2_p_over_p", v2 == 1, "1 mod p", str(v2))
+    rep.add("binom_p2_p_over_p", v2 == 1, "1 mod p", str(v2))
     return rep
 
 
@@ -248,12 +233,12 @@ def suite_properties(p: int, precision: int = DEFAULT_PRECISION, seed: int = 0) 
 
     rng = random.Random(seed)
     rep = SuiteReport("properties", p)
-    rec = _Recorder(rep, precision)
+    rep.precision = precision
 
     t0 = time.perf_counter()
     w = primitive_teichmuller_root(p, precision)
     one = PAdicScalar.from_int(p, 1, precision)
-    rec.add("teichmuller_root_of_unity", w ** (p - 1) == one, "w^(p-1) = 1", "", t0)
+    rep.add("teichmuller_root_of_unity", w ** (p - 1) == one, "w^(p-1) = 1", "", t0)
 
     t0 = time.perf_counter()
     F = FormalGroupLaw.v3_truncated(p, precision)
@@ -263,15 +248,15 @@ def suite_properties(p: int, precision: int = DEFAULT_PRECISION, seed: int = 0) 
     z = TruncatedSeries.variable(p, "z", vars3, bounds3, precision)
     lhs = F.formal_sum(F.formal_sum(x, y), z)
     rhs = F.formal_sum(x, F.formal_sum(y, z))
-    rec.add("fgl_associativity", lhs == rhs, "F(F(x,y),z) = F(x,F(y,z))", "", t0)
-    rec.add("fgl_commutativity", F.formal_sum(x, y) == F.formal_sum(y, x), "F(x,y) = F(y,x)", "")
+    rep.add("fgl_associativity", lhs == rhs, "F(F(x,y),z) = F(x,F(y,z))", "", t0)
+    rep.add("fgl_commutativity", F.formal_sum(x, y) == F.formal_sum(y, x), "F(x,y) = F(y,x)", "")
 
     # the closed-form exponential against a generic reversion of the logarithm
     t0 = time.perf_counter()
     zb = p**3 + p
     zv = TruncatedSeries.variable(p, "z", ("z",), (zb,), precision)
     reverted = lagrange_invert(F.log.series(zv), "z")
-    rec.add(
+    rep.add(
         "exp_equals_reversion_of_log",
         F.exp_of(zv) == F.log.inverse_series("z", ("z",), (zb,)) == reverted,
         "exp(z) = log^(-1)(z) by Lagrange inversion",
@@ -286,7 +271,7 @@ def suite_properties(p: int, precision: int = DEFAULT_PRECISION, seed: int = 0) 
     Fg = FormalGroupLaw.v3_truncated(p, max(precision, DEFAULT_PRECISION))
     # x bound 2p+1 keeps the j = 1 and j = p terms; the pipeline's p^2 costs 7.4 s at p = 11
     gb = (2 * p + 1, p**3 + p)
-    rec.add(
+    rep.add(
         "g_closed_form_equals_formal_sums",
         powerop.g_series(Fg, *gb) == powerop._g_by_formal_sums(Fg, *gb),
         "closed-form g = x * prod_i (x +_F [w^i](alpha)) by formal sums",
@@ -308,7 +293,7 @@ def suite_properties(p: int, precision: int = DEFAULT_PRECISION, seed: int = 0) 
     kinv = lagrange_invert(k, "y")
     rt = k.substitute("y", kinv)
     yvar = TruncatedSeries.variable(p, "y", vars2, bounds2, precision)
-    rec.add("lagrange_round_trip", rt == yvar, "k(k^(-1)(y)) = y", "", t0)
+    rep.add("lagrange_round_trip", rt == yvar, "k(k^(-1)(y)) = y", "", t0)
 
     t0 = time.perf_counter()
     f = TruncatedSeries.from_terms(
@@ -322,7 +307,7 @@ def suite_properties(p: int, precision: int = DEFAULT_PRECISION, seed: int = 0) 
     )
     n1 = quotient_normalize(f)
     again = quotient_normalize(_normal_form_as_series(n1, p))
-    rec.add("quotient_normalize_idempotent", n1 == again, "N(N(f)) = N(f)", "", t0)
+    rep.add("quotient_normalize_idempotent", n1 == again, "N(N(f)) = N(f)", "", t0)
 
     t0 = time.perf_counter()
     A = dl.DLAlgebra(p, {"x": 2 * (p - 1)})
@@ -331,7 +316,7 @@ def suite_properties(p: int, precision: int = DEFAULT_PRECISION, seed: int = 0) 
     renorm = dl.DLAlgebra(p, {"x": 2 * (p - 1)}).adem_normalize(word, "x")
     degs = norm1.degrees()
     expected_deg = 2 * (p - 1) + 2 * (word[0] + word[1]) * (p - 1)
-    rec.add(
+    rep.add(
         "adem_idempotent_degree_preserving",
         norm1 == renorm and degs <= {expected_deg},
         "stable normal form, degree preserved",
@@ -347,7 +332,7 @@ def suite_properties(p: int, precision: int = DEFAULT_PRECISION, seed: int = 0) 
     lhs = mu_homology.newton_expand(p * m, "b", p)
     # plain repeated multiplication, not the Frobenius shortcut newton_expand takes
     rhs = binary_power(mu_homology.newton_expand(m, "b", p), p, {(): 1}, lambda u, v: poly_mul(u, v, p))
-    rec.add("newton_frobenius", lhs == rhs, "N_(pm) = N_m^p", f"m={m}", t0)
+    rep.add("newton_frobenius", lhs == rhs, "N_(pm) = N_m^p", f"m={m}", t0)
 
     t0 = time.perf_counter()
     stable = True
@@ -356,7 +341,7 @@ def suite_properties(p: int, precision: int = DEFAULT_PRECISION, seed: int = 0) 
         hi = powerop.power_operation_value(FormalGroupLaw.v3_truncated(p, 12), i).value
         if not (lo.plain == hi.plain and lo.v3 == hi.v3):
             stable = False
-    rec.add("precision_stability_K8_vs_K12", stable, "identical normal forms", "", t0)
+    rep.add("precision_stability_K8_vs_K12", stable, "identical normal forms", "", t0)
     return rep
 
 

@@ -14,7 +14,6 @@ law, is a plain unit `PAdicScalar`.
 
 from __future__ import annotations
 
-import math
 import operator
 
 from .arith import binary_power, prime_factors
@@ -25,8 +24,6 @@ __all__ = [
     "PrecisionLossError",
     "teichmuller",
     "primitive_teichmuller_root",
-    "reduce_mod_p",
-    "binomial_scalar",
 ]
 
 DEFAULT_PRECISION = 8
@@ -218,16 +215,6 @@ _set_unit = PAdicScalar.unit.__set__
 _set_prec = PAdicScalar.prec.__set__
 _set_is_zero_flag = PAdicScalar.is_zero_flag.__set__
 _ZEROS: dict[int, PAdicScalar] = {}
-
-
-def reduce_mod_p(a: PAdicScalar) -> int:
-    """Residue in F_p of a p-adic integer."""
-    return a.residue()
-
-
-def binomial_scalar(p: int, n: int, k: int, prec: int = DEFAULT_PRECISION) -> PAdicScalar:
-    """C(n, k) computed over exact integers, then embedded p-adically."""
-    return PAdicScalar.from_int(p, math.comb(n, k), prec)
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,8 @@ def test_verifiers_share_one_free_algebra(p):
 def test_relation_mutation_detected(p):
     rel = RelationSpec.for_prime(p)
     assert rel.relation_value().is_zero()
-    assert not rel.relation_value(drop_bp_term=True).is_zero()
+    # b = 0 drops the b^p Q^(p^2) Q^p x term
+    assert not rel.relation_value(b=rel.algebra.zero()).is_zero()
     # perturbing one input also breaks it
     bad_a = list(rel.a)
     bad_a[0] = bad_a[0] + rel.x.pow(p * p + 1)

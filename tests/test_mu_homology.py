@@ -362,30 +362,14 @@ def test_symmetric_evaluate_examples():
         symmetric_evaluate(n2, [1], fld)
 
 
-def test_symmetric_evaluate_xi_context_consistent():
-    # evaluating the xi-expansion at xi_k = e_(p^k-1)(sample) agrees with the
-    # recursion route used by symmetric_evaluate
+def test_symmetric_evaluate_rejects_xi_context():
+    # only b-context classes are evaluated; no check evaluates an xi class
     p = 3
-    rng = random.Random(9)
     fld = GaloisField(p, 2)
     cls = xibar(2, p) * xibar(1, p) + xibar(1, p).pow(4)
-    M = cls.weighted_degree()
-    for _ in range(5):
-        sample = [fld.sample(rng) for _ in range(M)]
-        direct = symmetric_evaluate(cls, sample, fld)
-        # independent route: expand to xi-polynomials, then substitute
-        es = [1] + [0] * M
-        for x in sample:
-            for i in range(M, 0, -1):
-                es[i] = fld.add(es[i], fld.mul(x, es[i - 1]))
-        xi_vals = {1: es[p - 1], 2: es[p * p - 1] if p * p - 1 <= M else 0}
-        total = 0
-        for mono, c in cls.expand().items():
-            v = 1
-            for k, e in mono:
-                v = fld.mul(v, fld.pow(xi_vals[k], e))
-            total = fld.add(total, fld.mul_int(v, c))
-        assert direct == total
+    sample = [fld.sample(random.Random(9)) for _ in range(cls.weighted_degree())]
+    with pytest.raises(ValueError, match="b-context"):
+        symmetric_evaluate(cls, sample, fld)
 
 
 def test_galois_field_arithmetic():

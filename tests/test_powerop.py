@@ -6,17 +6,16 @@ import pytest
 from powerops import reports
 from powerops.fgl import FormalGroupLaw, Logarithm
 from powerops.powerop import (
+    _angle_quotient,
     _g_by_formal_sums,
     _lift,
+    _log_derivative_of,
     divide_by_series_power,
     f_coefficient,
     g_series,
     h_polynomial,
-    isogeny_derivative_check,
-    isogeny_log_additivity_check,
     k_series,
     power_operation_value,
-    psi_coefficient_lift,
     reduce_g_mod_p_series,
     run_pipeline,
     sigma_dl_coefficient,
@@ -70,7 +69,7 @@ def test_g_closed_form_matches_formal_sums(p):
         # power_operation_value at i = 2 and i = p
         (p**2, p**3 + 2 * (p - 1) ** 2 + 1),
         (p**2, p**3 + p * (p - 1) ** 2 + 1),
-        # isogeny_derivative_check and isogeny_log_additivity_check
+        # _isogeny_derivative_check and _isogeny_log_additivity_check
         (p + 3, p**3 + 2 * (p + 2) * (p - 1) + 1),
         (2 * p + 4, p**3 + 4 * (p + 1) * (p - 1) + 1),
         # an alpha bound that cuts: alpha^(p^3-p) is the last slot kept
@@ -228,7 +227,7 @@ def test_k_series_equals_substitution(p, precs):
     bound_sets = (
         (p**2, p**3 + 2 * (p - 1) ** 2 + 1),  # power_operation_value at i = 2
         (p**2, p**3 + p * (p - 1) ** 2 + 1),  # and at i = p
-        (p + 3, p**3 + 2 * (p + 2) * (p - 1) + 1),  # isogeny_derivative_check
+        (p + 3, p**3 + 2 * (p + 2) * (p - 1) + 1),  # _isogeny_derivative_check
         (p**2, p**3 + 2 * (p - 1) ** 2 + 1 + 37),  # alpha headroom
     )
     for prec in precs:
@@ -400,22 +399,110 @@ def test_runtimes_small_primes():
         assert time.perf_counter() - t0 < 1.0
 
 
+# -- the isogeny identity ------------------------------------------------------
+# The lifted coefficients psi_m of the additive total operation satisfy the
+# isogeny identity; the pipeline needs none of this, so it lives here.
+
+
+def _psi_coefficient_lift(trace, m):
+    """Integral lift of the degree-2m coefficient of the additive total
+    operation: (f_m - h_m * <p>) / chi^(2m), an exact division."""
+    f_m = f_coefficient(trace, m)
+    h_m = h_polynomial(f_m, trace.angle_p, m)
+    s = f_m - h_m * trace.angle_p
+    return divide_by_series_power(s, trace.chi, 2 * m)
+
+
+def _is_integral(f):
+    return all(c.plain.is_integral() and c.v3part.is_integral() for c in f.terms.values())
+
+
+def _divisible_by_angle_p(f, angle):
+    """f = q * <p>(alpha) with q integral."""
+    quotient = _angle_quotient(f, angle)
+    return _is_integral(quotient) and quotient * _lift(angle, f.vars, f.bounds) == f
+
+
+def _isogeny_derivative_check(F):
+    """g'(x,a) * L'(g(x,a)) = chi * (log)'(x) + h(x,a) * <p>(a) with h
+    integral, where L'(z) = 1 + sum_m psi_m z^m.
+
+    This is the derivative at 0 of the isogeny identity for the additive
+    total operation, checked as exact divisibility with integral quotient.
+    """
+    p = F.p
+    m_max = p + 2
+    # every m up to the x bound can contribute through g^m, so the bound
+    # must not exceed m_max + 1 or the truncated tail would pollute the check
+    xb = m_max + 1
+    ab = p**3 + 2 * m_max * (p - 1) + 1
+    trace = run_pipeline(F, xb, ab)
+    vars, bounds = trace.g.vars, trace.g.bounds
+    gpad = trace.g.with_bounds(tuple(b + 1 if v == "x" else b for v, b in zip(vars, bounds)))
+    dg = gpad.derivative("x")
+    lifted_psi = TruncatedSeries.one(p, vars, bounds, F.prec)
+    g_pow = TruncatedSeries.one(p, vars, bounds, F.prec)
+    for m in range(1, m_max + 1):
+        g_pow = g_pow * trace.g
+        psi_m = _psi_coefficient_lift(trace, m)
+        if not psi_m.is_zero():
+            lifted_psi = lifted_psi + _lift(psi_m, vars, bounds) * g_pow
+    x = TruncatedSeries.variable(p, "x", vars, bounds, F.prec)
+    rhs = _lift(trace.chi, vars, bounds) * _log_derivative_of(F.log, x)
+    return _divisible_by_angle_p(dg * lifted_psi - rhs, trace.angle_p)
+
+
+def _isogeny_log_additivity_check(F):
+    """L(g(x +_F y)) - L(g(x)) - L(g(y)) is divisible by <p>(a) with an
+    integral quotient, for L(z) = z + sum_m psi_m z^(m+1)/(m+1).
+
+    Applying L to the isogeny identity turns the twisted formal sum into an
+    honest sum, so this checks the original two-variable identity."""
+    p = F.p
+    # the plain slot x^p of g must survive the lift; truncating it would
+    # pollute the difference with junk that is not divisible by <p>
+    xb = p + 2
+    m_max = 2 * (xb - 1)
+    ab = p**3 + 2 * m_max * (p - 1) + 1
+    trace = run_pipeline(F, m_max + 2, ab)
+    psi = {m: _psi_coefficient_lift(trace, m) for m in range(1, m_max + 1)}
+
+    vars, bounds = ("x", "y", "alpha"), (xb, xb, ab)
+    x = TruncatedSeries.variable(p, "x", vars, bounds, F.prec)
+    y = TruncatedSeries.variable(p, "y", vars, bounds, F.prec)
+    gx = _lift(trace.g, vars, bounds)
+    gy = _lift(TruncatedSeries(("y", "alpha"), trace.g.bounds, trace.g.terms, p), vars, bounds)
+    gX = gx.substitute("x", F.formal_sum(x, y))
+
+    def big_log(w):
+        out = w
+        w_pow = w
+        for m in range(1, m_max + 1):
+            w_pow = w_pow * w
+            if not psi[m].is_zero():
+                coeff = PAdicScalar.from_ratio(p, 1, m + 1, F.prec)
+                out = out + _lift(psi[m], vars, bounds).scale_scalar(coeff) * w_pow
+        return out
+
+    return _divisible_by_angle_p(big_log(gX) - big_log(gx) - big_log(gy), trace.angle_p)
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_isogeny_derivative_form(p):
     F = FormalGroupLaw.v3_truncated(p, K)
-    assert isogeny_derivative_check(F)
+    assert _isogeny_derivative_check(F)
 
 
 def test_isogeny_two_variable_form_p3():
     F = FormalGroupLaw.v3_truncated(3, K)
-    assert isogeny_log_additivity_check(F)
+    assert _isogeny_log_additivity_check(F)
 
 
 def test_psi_lift_matches_low_degrees(trace3):
     # the degree-1 coefficient lift vanishes (the image of the degree-2
     # generator is 0 in the coefficient ring), the degree-0 one is 1
     F, tr = trace3
-    assert psi_coefficient_lift(tr, 1).is_zero()
+    assert _psi_coefficient_lift(tr, 1).is_zero()
 
 
 @pytest.mark.parametrize("p", [3, 5])

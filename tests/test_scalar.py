@@ -8,9 +8,7 @@ from powerops.scalar import (
     CoeffV3,
     PAdicScalar,
     PrecisionLossError,
-    binomial_scalar,
     primitive_teichmuller_root,
-    reduce_mod_p,
     teichmuller,
 )
 
@@ -70,11 +68,11 @@ def test_teichmuller_is_root_of_unity_and_multiplicative(p):
 
 
 def test_reduce_mod_p_examples():
-    assert reduce_mod_p(PAdicScalar.from_int(5, 182, 4)) == 2
-    assert reduce_mod_p(PAdicScalar.from_int(5, 35, 4)) == 0
+    assert PAdicScalar.from_int(5, 182, 4).residue() == 2
+    assert PAdicScalar.from_int(5, 35, 4).residue() == 0
     # C(6,2)/3 = 5 = -1 mod 3, an instance of C(2p,2)/p = -1
-    c = binomial_scalar(3, 6, 2, 6) / PAdicScalar.from_int(3, 3, 6)
-    assert reduce_mod_p(c) == 2
+    c = PAdicScalar.from_int(3, math.comb(6, 2), 6) / PAdicScalar.from_int(3, 3, 6)
+    assert c.residue() == 2
 
 
 def test_reduce_mod_p_rejects_negative_valuation():
