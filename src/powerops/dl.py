@@ -103,14 +103,6 @@ class DLAlgebra:
             out = self.apply_q(s, out)
         return out
 
-    def is_admissible(self, word: tuple[int, ...], generator: str) -> bool:
-        d = self.generators[generator]
-        for s in reversed(word):
-            if 2 * s <= d:
-                return False
-            d += 2 * s * (self.p - 1)
-        return all(word[j] <= self.p * word[j + 1] for j in range(len(word) - 1))
-
     # -- internals ----------------------------------------------------------------
 
     def _q_factor(self, factor: Factor, a: int) -> dict[Monomial, int]:

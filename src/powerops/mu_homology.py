@@ -12,10 +12,10 @@ Two equality routes are kept deliberately independent:
   t_i -> e_i(sample), under which every N_m evaluates to the power sum of
   the sample.
 
-Expansion is memoized per canonical Newton monomial, so two sides that are
-the same Newton monomial share one expansion.  It stays independent of
-cancellation *between* Newton monomials: each side is expanded term by term
-and only the generator polynomials are compared.
+Expansion is memoized per canonical Newton monomial, each one packed product
+(`arith._product`), so sides that are the same Newton monomial share it.  It
+stays independent of cancellation *between* Newton monomials: each side is
+expanded term by term and only the generator polynomials are compared.
 
 The action on Newton classes is
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 import time
 
-from .arith import binom_mod, cartan, frobenius, poly_add, poly_mul, poly_pow, poly_scale
+from .arith import _product, binom_mod, cartan, frobenius, poly_add, poly_mul, poly_pow, poly_scale
 from .finite_field import GaloisField
 from .scalar import Immutable
 
@@ -99,10 +99,6 @@ class SymmetricClass(Immutable):
         return cls(p, context, {})
 
     @classmethod
-    def one(cls, p: int, context: str) -> "SymmetricClass":
-        return cls(p, context, {(): 1})
-
-    @classmethod
     def newton(cls, p: int, context: str, m: int, coeff: int = 1) -> "SymmetricClass":
         if m <= 0:
             raise ValueError("Newton index must be positive")
@@ -141,7 +137,9 @@ class SymmetricClass(Immutable):
     def expand(self) -> GenPoly:
         """Expansion as a polynomial in the generators (b_i or xi_k), a new
         dict on every call; each Newton monomial is expanded once per
-        (p, context) and kept in `_NEWTON_CACHE`."""
+        (p, context) and kept in `_NEWTON_CACHE`, as (mono / q)^q with q the
+        largest power of p dividing every exponent: one `arith._product`, its
+        fields sized by the weight sum m * e / q, which bounds every exponent."""
         p, context = self.p, self.context
         budget = default_budget(p)
         out: GenPoly = {}
@@ -152,11 +150,12 @@ class SymmetricClass(Immutable):
             key = (p, context, mono)
             poly = _NEWTON_CACHE.get(key)
             if poly is None:
-                poly = {(): 1}
-                for m, e in mono:
-                    # through the module global, so a wrapper on newton_expand sees it
-                    poly = poly_mul(poly, poly_pow(newton_expand(m, context, p), e, p), p)
-                _NEWTON_CACHE[key] = poly
+                q = 1
+                while mono and all(e % (q * p) == 0 for _, e in mono):
+                    q *= p
+                # through the module global, so a wrapper on newton_expand sees it
+                factors = [(newton_expand(m, context, p), e // q) for m, e in mono]
+                poly = _NEWTON_CACHE[key] = _product(factors, sum(m * e for m, e in mono) // q, p, q)
             out = poly_add(out, poly, p, c) if out else poly_scale(poly, c, p)
         return out
 

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from powerops import arith, mu_homology
-from powerops.arith import binary_power, poly_mul
+from powerops.arith import binary_power, poly_add, poly_mul, poly_pow, poly_scale
 from powerops.dl import DLAlgebra
 from powerops.finite_field import GaloisField
 from powerops.mu_homology import (
@@ -137,7 +137,7 @@ def _dl_image(poly, p):
     x -> -N_(p-1), so that Q^a x -> -Q^a N_(p-1)."""
     out = SymmetricClass.zero(p, "b")
     for mono, c in poly.terms.items():
-        term = SymmetricClass.one(p, "b") * c
+        term = SymmetricClass(p, "b", {(): 1}) * c
         for (word, _), e in mono:
             assert len(word) <= 1  # Q^s of a power of x is a product of Q^a x
             image = kochman_q(word[0], p - 1, "b", p) if word else SymmetricClass.newton(p, "b", p - 1)
@@ -318,6 +318,61 @@ def test_expand_memo_keys_on_prime_and_context(monkeypatch):
         assert expansion == poly_mul(newton_expand(4, context, p), newton_expand(8, context, p), p)
 
 
+def _expand_factor_by_factor(cls):
+    """The expansion of a class by one `poly_pow` per Newton factor and one
+    `poly_mul` per product, in the order of its terms and factors."""
+    p, out = cls.p, {}
+    for mono, c in cls.terms.items():
+        poly = {(): 1}
+        for m, e in mono:
+            poly = poly_mul(poly, poly_pow(newton_expand(m, cls.context, p), e, p), p)
+        out = poly_add(out, poly, p, c) if out else poly_scale(poly, c, p)
+    return out
+
+
+def _random_newton_monomial(rng, p, context, shared):
+    """One to three distinct Newton indices coprime to p, with exponents that
+    all share a factor p when ``shared`` and that do not otherwise.  In the
+    xi-context the indices are multiples of p - 1 (the other N_m vanish) up
+    to 2(p^2 - 1), past the weight p^2 - 1 of xi_2."""
+    if context == "b":
+        indices = [m for m in range(1, 9) if m % p][:6]
+    else:
+        indices = [m for m in range(p - 1, 2 * p * p - 1, p - 1) if m % p]
+    ms = sorted(rng.sample(indices, rng.randint(1, 3)))
+    if shared:
+        es = [p * rng.randint(1, 2) for _ in ms]
+    else:
+        es = [rng.randint(1, 3) for _ in ms]
+        es[rng.randrange(len(es))] = rng.choice([e for e in range(1, 2 * p) if e % p])
+    return tuple(zip(ms, es))
+
+
+@pytest.mark.parametrize("context", ["b", "xi"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_expand_matches_factor_by_factor_products(monkeypatch, p, context):
+    # the packed chain of `expand` against poly_pow and poly_mul factor by
+    # factor: the same dict in the same insertion order, for exponents that
+    # share a factor p and exponents that do not, and for a class of several
+    # terms with coefficients other than 1 (the empty monomial among them)
+    rng = random.Random(100 * p + len(context))
+    monos = [_random_newton_monomial(rng, p, context, shared) for shared in (True, False) * 3]
+    classes = [SymmetricClass(p, context, {mono: 1}) for mono in monos]
+    classes.append(SymmetricClass(p, context, {monos[1]: 2, monos[0]: p - 1, (): p - 2, monos[3]: 1}))
+    # a class whose exponents share p twice
+    classes.append(SymmetricClass(p, context, {((p - 1, p * p), (2 * p - 2, p * p)): 1}))
+    assert any(mono and all(e % p == 0 for _, e in mono) for mono in monos)
+    assert any(any(e % p for _, e in mono) for mono in monos)
+    for cls in classes:
+        monkeypatch.setattr(mu_homology, "_NEWTON_CACHE", {})
+        want = _expand_factor_by_factor(cls)
+        monkeypatch.setattr(mu_homology, "_NEWTON_CACHE", {})
+        got = cls.expand()
+        assert got == want, cls
+        assert list(got) == list(want), cls
+        assert list(got.items()) == list(want.items()), cls
+
+
 def test_identity4_second_expansion_makes_no_product(monkeypatch):
     # both sides of identity 4 are one Newton monomial: once the right side is
     # expanded, expanding it again, or the left side, multiplies nothing
@@ -332,8 +387,13 @@ def test_identity4_second_expansion_makes_no_product(monkeypatch):
         calls[0] += 1
         return poly_mul(a, b, q)
 
+    def counting_product(factors, top, q, r=1):
+        calls[0] += 1
+        return arith._product(factors, top, q, r)
+
     monkeypatch.setattr(mu_homology, "poly_mul", counting_mul)
     monkeypatch.setattr(arith, "poly_mul", counting_mul)
+    monkeypatch.setattr(mu_homology, "_product", counting_product)
     assert rhs.expand() == want
     assert lhs.expand() == want
     assert calls[0] == 0
