@@ -7,6 +7,8 @@ A sparse polynomial is a ``{monomial: coefficient}`` dict.  A monomial is a
 tuple of ``(variable, exponent)`` pairs sorted by variable; the empty tuple
 is 1.  Every coefficient lies in 1..p-1: the functions below take operands
 in that form and return results in it, so no caller reduces again.
+Every F_p-linear combination, a sum, a difference or a scalar multiple, is
+one `poly_sum` over its (polynomial, coefficient) parts.
 Products of several terms run on monomials packed into ints: `_pack` once,
 a chain of `_packed_mul` (a Frobenius is the key times p), and `_unpack`
 once at the end, so no tuple is built for a term that is multiplied again.
@@ -18,15 +20,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Callable, Hashable, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 __all__ = [
     "binary_power",
     "prime_factors",
     "binom_mod",
     "merge_monomials",
-    "poly_add",
-    "poly_scale",
+    "poly_sum",
     "poly_mul",
     "frobenius",
     "poly_pow",
@@ -104,26 +105,28 @@ def merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     return m1
 
 
-def poly_add(a: Poly, b: Poly, p: int, sign: int = 1) -> Poly:
-    """a + sign * b over F_p."""
-    out = dict(a)
-    for m, c in b.items():
-        c = (out.get(m, 0) + sign * c) % p
-        if c:
-            out[m] = c
-        else:
-            out.pop(m, None)
+def poly_sum(parts: Iterable[tuple[Poly, int]], p: int) -> Poly:
+    """The sum of c * a over the (a, c) in parts, over F_p, in one new dict.
+
+    Each coefficient is reduced as its part is added and a term that reaches
+    0 is popped, so the result, insertion order included, is that of adding
+    the parts one at a time.  A part added to an empty sum is copied whole:
+    by `dict` when c = 1 mod p, else by one comprehension."""
+    out: Poly = {}
+    for a, c in parts:
+        c %= p
+        if not c:
+            continue
+        if not out:
+            out = dict(a) if c == 1 else {m: v * c % p for m, v in a.items()}
+            continue
+        get = out.get
+        for m, v in a.items():
+            if r := (get(m, 0) + c * v) % p:
+                out[m] = r
+            else:
+                out.pop(m, None)
     return out
-
-
-def poly_scale(a: Poly, c: int, p: int) -> Poly:
-    """c * a over F_p, a new dict; no coefficient vanishes unless p divides c."""
-    c %= p
-    if not c:
-        return {}
-    if c == 1:
-        return dict(a)
-    return {m: v * c % p for m, v in a.items()}
 
 
 def poly_mul(a: Poly, b: Poly, p: int) -> Poly:

@@ -24,8 +24,9 @@ The Adem convention above is pinned by the five straightening identities in
 from __future__ import annotations
 
 import functools
+from typing import Iterable
 
-from .arith import binom_mod, cartan, frobenius, poly_add, poly_mul, poly_pow, poly_scale
+from .arith import binom_mod, cartan, frobenius, poly_mul, poly_pow, poly_sum
 
 __all__ = [
     "DLAlgebra",
@@ -64,9 +65,6 @@ class DLAlgebra:
     def zero(self) -> "DLPolynomial":
         return DLPolynomial(self, {})
 
-    def one(self) -> "DLPolynomial":
-        return DLPolynomial(self, {(): 1})
-
     def gen(self, name: str) -> "DLPolynomial":
         if name not in self.generators:
             raise KeyError(name)
@@ -83,14 +81,20 @@ class DLAlgebra:
 
     # -- the operations ---------------------------------------------------------
 
+    def sum(self, parts: Iterable[tuple["DLPolynomial", int]]) -> "DLPolynomial":
+        """The sum of c * f over the (f, c) in parts, by `arith.poly_sum`."""
+        return DLPolynomial(self, poly_sum([(f.terms, c) for f, c in parts], self.p))
+
     def apply_q(self, s: int, poly: "DLPolynomial") -> "DLPolynomial":
         """Q^s extended by linearity and the Cartan formula."""
         if s < 0:
             raise ValueError("negative operation index")
-        out = self.zero()
+        # a plain loop, not a generator fed to `sum`: the Adem recursion runs
+        # through here, and a generator frame would deepen every level of it
+        parts = []
         for mono, coeff in poly.terms.items():
-            out = out + self._q_monomial(s, mono) * coeff
-        return out
+            parts.append((self._q_monomial(s, mono), coeff))
+        return self.sum(parts)
 
     def adem_normalize(self, word: tuple[int, ...], generator: str) -> "DLPolynomial":
         """Admissible-basis expansion of Q^{word} applied to a generator.
@@ -126,7 +130,7 @@ class DLAlgebra:
                 # outer operation through the normalized tail
                 r, s = a, word[0]
                 tail: Factor = (word[1:], g)
-                acc = self.zero()
+                parts = []
                 p = self.p
                 lo = -(-r // p)  # ceil(r/p)
                 hi = r - (p - 1) * s - 1
@@ -134,12 +138,12 @@ class DLAlgebra:
                     c = binom_mod((p - 1) * (i - s) - 1, p * i - r, p)
                     if not c:
                         continue
-                    sign = -1 if (r + i) % 2 else 1
                     inner = self._q_factor(tail, i)
                     if not inner:
                         continue
-                    acc = acc + self.apply_q(r + s - i, DLPolynomial(self, inner)) * (sign * c)
-                out = acc.terms
+                    term = self.apply_q(r + s - i, DLPolynomial(self, inner))
+                    parts.append((term, -c if (r + i) % 2 else c))
+                out = self.sum(parts).terms
         self._q_factor_cache[key] = out
         return out
 
@@ -180,19 +184,18 @@ class DLPolynomial:
         return not self.terms
 
     def __add__(self, other: "DLPolynomial") -> "DLPolynomial":
-        return DLPolynomial(self.algebra, poly_add(self.terms, other.terms, self.algebra.p))
+        return self.algebra.sum(((self, 1), (other, 1)))
 
     def __neg__(self) -> "DLPolynomial":
         return self * -1
 
     def __sub__(self, other: "DLPolynomial") -> "DLPolynomial":
-        return DLPolynomial(self.algebra, poly_add(self.terms, other.terms, self.algebra.p, -1))
+        return self.algebra.sum(((self, 1), (other, -1)))
 
     def __mul__(self, other) -> "DLPolynomial":
-        p = self.algebra.p
         if isinstance(other, int):
-            return DLPolynomial(self.algebra, poly_scale(self.terms, other, p))
-        return DLPolynomial(self.algebra, poly_mul(self.terms, other.terms, p))
+            return self.algebra.sum(((self, other),))
+        return DLPolynomial(self.algebra, poly_mul(self.terms, other.terms, self.algebra.p))
 
     __rmul__ = __mul__
 
@@ -308,16 +311,14 @@ class RelationSpec:
         x = A.gen("x")
         xp1 = x.pow(p - 1)
         qqx = x.q(p).q(p * p)  # Q^(p^2) Q^p x
-        out = a[0].q(p**3 + p)
+        parts = [(a[0].q(p**3 + p), 1)]
         for i in range(1, p - 1):
-            sign = -1 if i % 2 else 1
-            out = out + a[i].q(p**3 + p - i) * sign
-        out = out + a[p - 1].q(p**3 + 1)
-        out = out + b.frob() * qqx
+            parts.append((a[i].q(p**3 + p - i), -1 if i % 2 else 1))
+        parts += [(a[p - 1].q(p**3 + 1), 1), (b.frob() * qqx, 1)]
         for i in range(1, p):
-            out = out + xp1.q(p * p - p - i + 1).frob() * c[i]
-        out = out + xp1.pow(p).frob() * c[p].q(2 * p * p - p)
-        return out
+            parts.append((xp1.q(p * p - p - i + 1).frob() * c[i], 1))
+        parts.append((xp1.pow(p).frob() * c[p].q(2 * p * p - p), 1))
+        return A.sum(parts)
 
 
 class RelationReport:
@@ -359,18 +360,13 @@ def verify_relation(p: int) -> RelationReport:
 
     identities = {}
     lhs1 = x.q(p * p).q(p**3 + p)
-    rhs1 = A.zero()
-    for i in range(1, p):
-        sign = 1 if (i + 1) % 2 == 0 else -1
-        rhs1 = rhs1 + x.q(p * p + i).q(p**3 + p - i) * sign
+    rhs1 = A.sum([(x.q(p * p + i).q(p**3 + p - i), 1 if i % 2 else -1) for i in range(1, p)])
     identities["adem_top_pair"] = lhs1 == rhs1
 
     identities["pth_power_vanishes"] = qpx.frob().q(p**3 + 1).is_zero()
 
     lhs3 = (xp1.frob() * qpx).q(p**3 + p)
-    rhs3 = A.zero()
-    for i in range(0, p + 1):
-        rhs3 = rhs3 + xp1.q(p * p - p - i + 1).frob() * qpx.q(p * p + p * i)
+    rhs3 = A.sum([(xp1.q(p * p - p - i + 1).frob() * qpx.q(p * p + p * i), 1) for i in range(p + 1)])
     identities["cartan_frobenius_block"] = lhs3 == rhs3
 
     identities["adem_interchange"] = qpx.q(2 * p * p) == x.q(2 * p).q(2 * p * p - p)
@@ -424,10 +420,7 @@ def solve_sigma(p: int) -> SigmaSolution:
     sol, kernel_dim = _solve_mod_p(mat, rhs, p)
     if sol is None:
         raise ArithmeticError("sigma system is inconsistent")
-    combo = A.zero()
-    for j, wi in enumerate(w):
-        combo = combo + wi * sol[j]
-    residual = target - combo
+    residual = target - A.sum(zip(w, sol))
     return SigmaSolution(p, sol, residual, kernel_dim)
 
 
@@ -516,13 +509,12 @@ def verify_factorization(p: int, sigmas: list[int] | None = None) -> Factorizati
         a=[mu["a_0"]] + [zero] * (p - 1), b=mu["b"], c=[zero] * p + [mu["c_p"]]
     )
     qbar_nu = nu["d"]
-    beta_alpha = A.zero()
-    for i in range(1, p - 1):
-        beta_alpha = beta_alpha + beta[f"w_{i}"].q(p**3 + p - (i + 1)) * sigmas[i - 1]
-    beta_alpha = beta_alpha - beta["z_sq"].frob() * qqx
+    parts = [(beta[f"w_{i}"].q(p**3 + p - (i + 1)), sigmas[i - 1]) for i in range(1, p - 1)]
+    parts.append((beta["z_sq"].frob() * qqx, -1))
     for i in range(1, p):
-        beta_alpha = beta_alpha - xp1.q(p * p - p - i + 1).frob() * beta[f"c_{i}"]
-    beta_alpha = beta_alpha - xp1.pow(p).frob() * beta["z_last"].q(2 * p * p - p)
+        parts.append((xp1.q(p * p - p - i + 1).frob() * beta[f"c_{i}"], -1))
+    parts.append((xp1.pow(p).frob() * beta["z_last"].q(2 * p * p - p), -1))
+    beta_alpha = A.sum(parts)
 
     residual = mu_R - qbar_nu - beta_alpha
     return FactorizationReport(p, sigmas, residual)

@@ -149,22 +149,6 @@ class FormalGroupLaw(Immutable):
 
     # -- the named series ------------------------------------------------------
 
-    def addition_series(self, x_bound: int, y_bound: int) -> TruncatedSeries:
-        """F(x, y) with F(x,0) = x, F = exp(log x + log y).
-
-        The denominators introduced by the logarithm must cancel; a
-        non-integral coefficient means the logarithm does not present a
-        formal group law over the integral coefficient ring.
-        """
-        vars, bounds = ("x", "y"), (x_bound, y_bound)
-        x = TruncatedSeries.variable(self.p, "x", vars, bounds, self.prec)
-        y = TruncatedSeries.variable(self.p, "y", vars, bounds, self.prec)
-        F = self.formal_sum(x, y)
-        for exp, c in F.terms.items():
-            if not (c.plain.is_integral() and c.v3part.is_integral()):
-                raise ArithmeticError(f"non-integral coefficient at {exp}: wrong logarithm")
-        return F
-
     def scalar_series(
         self,
         c: PAdicScalar | int,

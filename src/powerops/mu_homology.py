@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 import time
 
-from .arith import _product, binom_mod, cartan, frobenius, poly_add, poly_mul, poly_pow, poly_scale
+from .arith import _product, binom_mod, cartan, frobenius, poly_mul, poly_pow, poly_sum
 from .finite_field import GaloisField
 from .scalar import Immutable
 
@@ -109,17 +109,17 @@ class SymmetricClass(Immutable):
         return not self.terms
 
     def __add__(self, other: "SymmetricClass") -> "SymmetricClass":
-        return SymmetricClass(self.p, self.context, poly_add(self.terms, other.terms, self.p))
+        return SymmetricClass(self.p, self.context, poly_sum(((self.terms, 1), (other.terms, 1)), self.p))
 
     def __neg__(self) -> "SymmetricClass":
         return self * -1
 
     def __sub__(self, other: "SymmetricClass") -> "SymmetricClass":
-        return SymmetricClass(self.p, self.context, poly_add(self.terms, other.terms, self.p, -1))
+        return SymmetricClass(self.p, self.context, poly_sum(((self.terms, 1), (other.terms, -1)), self.p))
 
     def __mul__(self, other) -> "SymmetricClass":
         if isinstance(other, int):
-            return SymmetricClass(self.p, self.context, poly_scale(self.terms, other, self.p))
+            return SymmetricClass(self.p, self.context, poly_sum(((self.terms, other),), self.p))
         return SymmetricClass(self.p, self.context, poly_mul(self.terms, other.terms, self.p))
 
     __rmul__ = __mul__
@@ -142,7 +142,7 @@ class SymmetricClass(Immutable):
         fields sized by the weight sum m * e / q, which bounds every exponent."""
         p, context = self.p, self.context
         budget = default_budget(p)
-        out: GenPoly = {}
+        parts = []
         for mono, c in self.terms.items():
             for m, _ in mono:
                 if m > budget:
@@ -156,8 +156,8 @@ class SymmetricClass(Immutable):
                 # through the module global, so a wrapper on newton_expand sees it
                 factors = [(newton_expand(m, context, p), e // q) for m, e in mono]
                 poly = _NEWTON_CACHE[key] = _product(factors, sum(m * e for m, e in mono) // q, p, q)
-            out = poly_add(out, poly, p, c) if out else poly_scale(poly, c, p)
-        return out
+            parts.append((poly, c))
+        return poly_sum(parts, p)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -186,7 +186,8 @@ def newton_expand(m: int, context: str, p: int) -> GenPoly:
         N_m = t_1 N_(m-1) - t_2 N_(m-2) + ... + (-1)^(m-1) m t_m
 
     specialized to t_i = b_i (b-context) or t_(p^k-1) = xi_k, other t_i = 0
-    (xi-context), with the Frobenius shortcut N_(pm) = N_m^p.  It is the
+    (xi-context), with the Frobenius shortcut N_(pm) = N_m^p: in
+    characteristic p that is N_m with every exponent times p.  It is the
     `_NEWTON_CACHE` entry of the one-factor monomial N_m = N_(m0)^(p^j).
     """
     if m <= 0:
@@ -196,7 +197,7 @@ def newton_expand(m: int, context: str, p: int) -> GenPoly:
     if cached is not None:
         return cached
     if m % p == 0:
-        out = poly_pow(newton_expand(m // p, context, p), p, p)
+        out = frobenius(newton_expand(m // p, context, p), p)
     else:
         if context == "b":
             supports = list(range(1, m + 1))
@@ -206,13 +207,12 @@ def newton_expand(m: int, context: str, p: int) -> GenPoly:
             while q - 1 <= m:
                 supports.append(q - 1)
                 q *= p
-        out = {}
-        # smallest terms first, so the running sum stays small while it is copied
+        parts = []
         for j in reversed(supports):
-            sign = 1 if (j - 1) % 2 == 0 else -1
             gen_index = j if context == "b" else supports.index(j) + 1
             rest = {(): m % p} if j == m else newton_expand(m - j, context, p)
-            out = poly_add(out, poly_mul(rest, {((gen_index, 1),): 1}, p), p, sign)
+            parts.append((poly_mul(rest, {((gen_index, 1),): 1}, p), 1 if j % 2 else -1))
+        out = poly_sum(parts, p)
     _NEWTON_CACHE[key] = out
     return out
 
@@ -375,13 +375,12 @@ def verify_stdl(p: int) -> PropositionReport:
 
 def _apply_q_to_class(r: int, cls: SymmetricClass, p: int) -> SymmetricClass:
     """Q^r on a sum of single Newton classes (no products)."""
-    out = SymmetricClass.zero(p, cls.context)
+    parts = []
     for mono, c in cls.terms.items():
         if len(mono) != 1 or mono[0][1] != 1:
             raise ValueError("only single Newton classes supported here")
-        m = mono[0][0]
-        out = out + kochman_q(r, m, cls.context, p) * c
-    return out
+        parts.append((kochman_q(r, mono[0][0], cls.context, p).terms, c))
+    return SymmetricClass(p, cls.context, poly_sum(parts, p))
 
 
 def verify_mudl(p: int, seed: int = 0) -> PropositionReport:

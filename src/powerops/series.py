@@ -182,10 +182,6 @@ class TruncatedSeries(Immutable):
             k: TruncatedSeries(self.vars, self.bounds, d, self.p) for k, d in buckets.items()
         }
 
-    def degrees(self, var: str) -> set[int]:
-        i = self.index(var)
-        return {exp[i] for exp in self.terms}
-
     # -- v3 splitting ------------------------------------------------------
 
     def _map(self, fn: Callable[[CoeffV3], CoeffV3]) -> "TruncatedSeries":

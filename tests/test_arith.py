@@ -4,7 +4,7 @@ from functools import reduce
 from hypothesis import example, given, settings, strategies as st
 
 from powerops import arith, dl, mu_homology
-from powerops.arith import binom_mod, cartan, frobenius, merge_monomials, poly_add, poly_mul, poly_pow, poly_scale
+from powerops.arith import binom_mod, cartan, frobenius, merge_monomials, poly_mul, poly_pow, poly_sum
 
 PRIMES = st.sampled_from([3, 5, 7])
 
@@ -41,9 +41,9 @@ def test_pow_equals_repeated_mul(pa, data):
 def test_results_stay_reduced(pab, c):
     p, a, b = pab
     for out in (
-        poly_add(a, b, p),
-        poly_add(a, b, p, -1),
-        poly_scale(a, c, p),
+        poly_sum([(a, 1), (b, 1)], p),
+        poly_sum([(a, 1), (b, -1)], p),
+        poly_sum([(a, c)], p),
         poly_mul(a, b, p),
         frobenius(a, p),
     ):
@@ -54,9 +54,9 @@ def test_results_stay_reduced(pab, c):
 @given(prime_and_polys(), st.integers(-3, 3))
 def test_cancellation_gives_empty(pa, k):
     p, a = pa
-    assert poly_add(a, a, p, -1) == {}
-    assert poly_scale(a, k * p, p) == {}
-    assert poly_add(a, poly_scale(a, -1, p), p) == {}
+    assert poly_sum([(a, 1), (a, -1)], p) == {}
+    assert poly_sum([(a, k * p)], p) == {}
+    assert poly_sum([(a, 1), (poly_sum([(a, -1)], p), 1)], p) == {}
 
 
 @settings(max_examples=60, deadline=None)
@@ -73,11 +73,45 @@ def test_evaluation_is_a_ring_map(pab, point, c):
             total += term
         return total % p
 
-    assert ev(poly_add(a, b, p)) == (ev(a) + ev(b)) % p
-    assert ev(poly_add(a, b, p, -1)) == (ev(a) - ev(b)) % p
-    assert ev(poly_scale(a, c, p)) == c * ev(a) % p
+    assert ev(poly_sum([(a, 1), (b, 1)], p)) == (ev(a) + ev(b)) % p
+    assert ev(poly_sum([(a, 1), (b, -1)], p)) == (ev(a) - ev(b)) % p
+    assert ev(poly_sum([(a, c)], p)) == c * ev(a) % p
     assert ev(poly_mul(a, b, p)) == ev(a) * ev(b) % p
     assert ev(frobenius(a, p)) == pow(ev(a), p, p)
+
+
+@st.composite
+def prime_and_parts(draw):
+    """A prime p and 0-4 parts (a, c), each a drawn from a, b and their union,
+    so that parts share monomials and cancel; c is 0, +-1, a multiple of p
+    or any other integer."""
+    p, a, b = draw(prime_and_polys(count=2))
+    scalar = st.sampled_from([0, 1, -1, p, -p, 2 * p]) | st.integers(-2 * p, 2 * p)
+    return p, draw(st.lists(st.tuples(st.sampled_from([a, b, a | b]), scalar), max_size=4))
+
+
+# x1 + x2, less x1, plus x1: x1 cancels and comes back after x2
+REINSERTED = (3, [({((1, 1),): 1, ((2, 1),): 1}, 1), ({((1, 1),): 1}, -1), ({((1, 1),): 1}, 1)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(prime_and_parts())
+@example(REINSERTED)
+def test_poly_sum_is_the_fold_of_two_part_sums(pparts):
+    p, parts = pparts
+    want = {}
+    for a, c in parts:  # want + c * a: a copy of want, reduced, zeros popped
+        want = dict(want)
+        for m, v in a.items():
+            r = (want.get(m, 0) + c * v) % p
+            if r:
+                want[m] = r
+            else:
+                want.pop(m, None)
+    got = poly_sum(parts, p)
+    assert list(got.items()) == list(want.items())
+    assert reduced(got, p)
+    assert all(got is not a for a, _ in parts)
 
 
 @st.composite
@@ -109,7 +143,7 @@ def naive_cartan(top, factors, series, p):
             for i, u in out.items():
                 for a, t in series[f].items():
                     if i + a <= top:
-                        nxt[i + a] = poly_add(nxt.get(i + a, {}), poly_mul(u, t, p), p)
+                        nxt[i + a] = poly_sum([(nxt.get(i + a, {}), 1), (poly_mul(u, t, p), 1)], p)
             out = nxt
     return out
 

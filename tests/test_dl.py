@@ -1,8 +1,13 @@
 
+import functools
+import sys
+
 import pytest
 
+from powerops import dl
 from powerops.dl import (
     DLAlgebra,
+    DLPolynomial,
     RelationSpec,
     free_algebra,
     op_definedness,
@@ -116,6 +121,38 @@ def test_relation_large_primes(p):
     assert verify_factorization(p).passed
 
 
+# recursion depth verify_relation(p) may add to its caller's: 3 over the least
+# that passes (20, 22, 24 on Python 3.11), 3 under the least for an apply_q
+# that feeds its sum a generator evaluating Q (26, 28, 30)
+RELATION_DEPTH = {3: 23, 5: 25, 7: 27}
+
+
+def _recursion_depth():
+    """The caller's depth as the recursion limit counts it, C-level calls
+    included: the least limit `sys.setrecursionlimit` accepts here, less 2."""
+    limit, n = sys.getrecursionlimit(), 1
+    while True:
+        try:
+            sys.setrecursionlimit(n)
+        except RecursionError:
+            n += 1
+            continue
+        sys.setrecursionlimit(limit)
+        return n - 2
+
+
+@pytest.mark.parametrize("p", sorted(RELATION_DEPTH))
+def test_relation_recursion_depth(p, monkeypatch):
+    # a fresh algebra, so that no Q cache another test filled hides a level
+    monkeypatch.setattr(dl, "free_algebra", functools.cache(free_algebra.__wrapped__))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_recursion_depth() + RELATION_DEPTH[p])
+    try:
+        assert verify_relation(p).passed
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_verifiers_share_one_free_algebra(p):
     A = free_algebra(p)
@@ -204,6 +241,6 @@ def test_polynomial_algebra_basics(algebra):
     p = algebra.p
     x = algebra.gen("x")
     assert (x - x).is_zero()
-    assert x * algebra.one() == x
+    assert x * DLPolynomial(algebra, {(): 1}) == x
     assert (x.pow(2) * x.pow(3)) == x.pow(5)
     assert x * (p) == algebra.zero() * 1

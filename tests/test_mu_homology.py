@@ -4,7 +4,7 @@ import time
 import pytest
 
 from powerops import arith, mu_homology
-from powerops.arith import binary_power, poly_add, poly_mul, poly_pow, poly_scale
+from powerops.arith import binary_power, poly_mul, poly_pow, poly_sum
 from powerops.dl import DLAlgebra
 from powerops.finite_field import GaloisField
 from powerops.mu_homology import (
@@ -321,13 +321,13 @@ def test_expand_memo_keys_on_prime_and_context(monkeypatch):
 def _expand_factor_by_factor(cls):
     """The expansion of a class by one `poly_pow` per Newton factor and one
     `poly_mul` per product, in the order of its terms and factors."""
-    p, out = cls.p, {}
+    p, parts = cls.p, []
     for mono, c in cls.terms.items():
         poly = {(): 1}
         for m, e in mono:
             poly = poly_mul(poly, poly_pow(newton_expand(m, cls.context, p), e, p), p)
-        out = poly_add(out, poly, p, c) if out else poly_scale(poly, c, p)
-    return out
+        parts.append((poly, c))
+    return poly_sum(parts, p)
 
 
 def _random_newton_monomial(rng, p, context, shared):

@@ -189,7 +189,8 @@ def _items(f):
 def _divide_by_unit_series(f, chi, n):
     """f / chi^n for chi = alpha^d * (unit series), by the unit's inverse:
     the oracle of the closed-form divide_by_series_power."""
-    d = min(chi.degrees("alpha"))
+    i = chi.index("alpha")
+    d = min(e[i] for e in chi.terms)
     unit = _lift(divide_by_alpha_power(chi, d), f.vars, f.bounds)
     return divide_by_alpha_power(f, n * d) * unit.pow(n).inverse()
 
