@@ -10,8 +10,12 @@ in that form and return results in it, so no caller reduces again.
 Every F_p-linear combination, a sum, a difference or a scalar multiple, is
 one `poly_sum` over its (polynomial, coefficient) parts.
 Products of several terms run on monomials packed into ints: `_pack` once,
-a chain of `_packed_mul` (a Frobenius is the key times p), and `_unpack`
-once at the end, so no tuple is built for a term that is multiplied again.
+giving each variable a field as wide as its own exponent bound, then a chain
+of `_packed_mul` (a Frobenius is the key times p), so no tuple is built for a
+term that is multiplied again.  `poly_mul` and `poly_pow` decode the result
+by `_unpack`; `_product` hands it out undecoded as a `PackedPoly`, a
+read-only mapping that is decoded on its first read and compared on its int
+keys against a value of the same layout.
 `cartan` takes the operation one index at a time, ``q(f, a)`` = Q^a f, asks
 for it only at the indices its sum can reach, and carries a product of
 one-term sides as one (monomial, coefficient) pair with no dict (`_times`)."""
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Mapping
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 __all__ = [
@@ -32,6 +37,7 @@ __all__ = [
     "frobenius",
     "poly_pow",
     "cartan",
+    "PackedPoly",
 ]
 
 T = TypeVar("T")
@@ -139,16 +145,37 @@ def poly_mul(a: Poly, b: Poly, p: int) -> Poly:
         # distinct terms: nothing to collect
         ((m2, c2),) = b.items()
         return {merge_monomials(m1, m2): c1 * c2 % p for m1, c1 in a.items()}
-    names, w, (a, b) = _pack((a, b), 2 * max((e for poly in (a, b) for m in poly for _, e in m), default=0))
-    return _unpack(_packed_mul(a, b, p), names, w)
+    layout, (a, b) = _pack(((a, 1), (b, 1)))
+    return _unpack(_packed_mul(a, b, p), *layout)
 
 
-def _pack(polys: Sequence[Poly], top: int) -> tuple[list, int, list[dict[int, int]]]:
-    """The sorted variables of polys, w = top.bit_length(), and each poly on int
-    keys, x_i^e as e << (w * i): keys add as monomials multiply up to top."""
-    names, w = sorted({v for poly in polys for m in poly for v, _ in m}), top.bit_length()
-    shift = {v: w * i for i, v in enumerate(names)}
-    return names, w, [{sum(e << shift[v] for v, e in m): c for m, c in a.items()} for a in polys]
+Layout = tuple[tuple[tuple[Hashable, int, int], ...], int]  # fields, exponent factor q
+
+
+def _pack(factors: Sequence[tuple[Poly, int]]) -> tuple[Layout, list[dict[int, int]]]:
+    """The layout of prod f^e over the (f, e) in factors, and each f on int keys.
+
+    The fields are one (variable, width, mask) per variable, in sorted order,
+    the first in the lowest bits.  A variable's width is that of its bound,
+    the sum over the factors of e times its largest exponent in f, so keys
+    add as monomials multiply, with no carry, in every partial product of the
+    chain.  The layout's q is 1."""
+    bound: dict = {}
+    for f, e in factors:
+        top: dict = {}
+        get = top.get
+        for m in f:
+            for v, x in m:
+                if x > get(v, 0):
+                    top[v] = x
+        get = bound.get
+        for v, x in top.items():
+            bound[v] = get(v, 0) + e * x
+    fields, shift, at = [], {}, 0
+    for v in sorted(bound):
+        fields.append((v, w := bound[v].bit_length(), (1 << w) - 1))
+        shift[v], at = at, at + w
+    return (tuple(fields), 1), [{sum([x << shift[v] for v, x in m]): c for m, c in f.items()} for f, _ in factors]
 
 
 def _packed_mul(a: dict[int, int], b: dict[int, int], p: int) -> dict[int, int]:
@@ -164,17 +191,23 @@ def _packed_mul(a: dict[int, int], b: dict[int, int], p: int) -> dict[int, int]:
     return {k: r for k, c in sums.items() if (r := c % p)}
 
 
-def _unpack(a: dict[int, int], names: list, w: int, q: int = 1) -> Poly:
+def _unpack(a: dict[int, int], fields: Sequence[tuple[Hashable, int, int]], q: int = 1) -> Poly:
     """The packed a as a Poly, every exponent times q.  Each part of a key cut
     after a quarter of its fields is decoded once: b_i has weight i, so the low
-    fields vary most (the 10 471 keys of identity 4 at p = 7 have 1 997 and 525)."""
-    h, mask = len(names) // 4, (1 << w) - 1
-    lows, highs, low_mask, cut = names[:h], names[h:], (1 << w * h) - 1, w * h
+    fields vary most (the 10 471 keys of identity 4 at p = 7 have 1 997 and 525).
+    A low part of one field is not cut off, as its table would cost as much
+    as decoding it."""
+    h = len(fields) // 4
+    if h < 2:
+        h = 0
+    lows, highs = fields[:h], fields[h:]
+    cut = sum([w for _, w, _ in lows])
+    low_mask = (1 << cut) - 1
     pairs: dict[tuple[Hashable, int], tuple[Hashable, int]] = {}  # one tuple per (variable, exponent)
 
-    def decode(bits: int, vs: list) -> Monomial:
+    def decode(bits: int, fs: Sequence[tuple[Hashable, int, int]]) -> Monomial:
         mono = []
-        for v in vs:
+        for v, w, mask in fs:
             if e := bits & mask:
                 pair = (v, e * q)
                 mono.append(pairs.setdefault(pair, pair))
@@ -191,16 +224,72 @@ def _unpack(a: dict[int, int], names: list, w: int, q: int = 1) -> Poly:
     return out
 
 
-def _product(factors: Sequence[tuple[Poly, int]], top: int, p: int, q: int = 1) -> Poly:
-    """(prod f^e)^q over (f, e) in factors, as the same `poly_mul` chain orders
-    it; top bounds every partial product's exponents, and p | e is key * p."""
-    names, w, packed = _pack([f for f, _ in factors], top)
-    out = {0: 1}
+class PackedPoly(Mapping):
+    """A polynomial held on packed int keys with their `Layout`, read-only.
+
+    ``packed`` maps each key to its coefficient.  `len` and `==` against a
+    value of the same layout work on the keys, since one layout decodes
+    distinct keys to distinct monomials.  Every read of a monomial
+    (iteration, ``[]``, `items`, `repr`) decodes the whole value once, by
+    `_unpack`, in the order of its keys; any other comparison compares the
+    decoded mappings."""
+
+    __slots__ = ("packed", "layout", "_poly")
+
+    def __init__(self, packed: dict[int, int], layout: Layout):
+        self.packed, self.layout, self._poly = packed, layout, None
+
+    def _decoded(self) -> Poly:
+        if self._poly is None:
+            self._poly = _unpack(self.packed, *self.layout)
+        return self._poly
+
+    def scaled(self, c: int, p: int) -> "PackedPoly":
+        """c * self over F_p, on the same layout; c is nonzero mod p."""
+        return PackedPoly({k: v * c % p for k, v in self.packed.items()}, self.layout)
+
+    def __len__(self) -> int:
+        return len(self.packed)
+
+    def __getitem__(self, m: Monomial) -> int:
+        return self._decoded()[m]
+
+    def __iter__(self):
+        return iter(self._decoded())
+
+    def items(self):
+        return self._decoded().items()
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PackedPoly):
+            if other.layout == self.layout:
+                return self.packed == other.packed
+            other = other._decoded()
+        elif not isinstance(other, Mapping):
+            return NotImplemented
+        return self._decoded() == other
+
+    def __repr__(self) -> str:
+        return repr(self._decoded())
+
+
+def _product(factors: Sequence[tuple[Poly, int]], p: int, q: int = 1) -> PackedPoly:
+    """(prod f^e)^q over (f, e) in factors, packed, as the same `poly_mul`
+    chain orders it; p | e is key * p, and the q-th power only scales the
+    layout's exponents."""
+    (fields, _), packed = _pack(factors)
+
+    def mul(u: dict[int, int] | None, v: dict[int, int]) -> dict[int, int]:
+        return v if u is None else _packed_mul(u, v, p)  # None: the empty product
+
+    out = None
     for f, (_, e) in zip(packed, factors):
-        while e and e % p == 0:
+        if not e:
+            continue
+        while e % p == 0:
             f, e = {k * p: c for k, c in f.items()}, e // p
-        out = _packed_mul(out, binary_power(f, e, {0: 1}, lambda u, v: _packed_mul(u, v, p)), p)
-    return _unpack(out, names, w, q)
+        out = mul(out, binary_power(f, e, None, mul))
+    return PackedPoly({0: 1} if out is None else out, (fields, q))
 
 
 def frobenius(a: Poly, q: int) -> Poly:
@@ -210,8 +299,8 @@ def frobenius(a: Poly, q: int) -> Poly:
 
 
 def poly_pow(a: Poly, n: int, p: int) -> Poly:
-    """a^n over F_p by `_product`."""
-    return _product([(a, n)], n * max((e for m in a for _, e in m), default=0), p)
+    """a^n over F_p by `_product`, decoded."""
+    return _product([(a, n)], p)._decoded()
 
 
 def _times(prod: Terms, t: Poly, p: int) -> Terms:
@@ -333,7 +422,13 @@ def cartan(
                 n += 1
 
         pick(0, 0, rem, (((), 1),), 1, 0)
+        # pick and rest call themselves through their own closure cells, a
+        # cycle that would keep them and every memo alive until the cycle
+        # collector ran; emptying the cell after the walk frees them at once
+        pick = None
         memo[key] = {m: r for m, c in acc.items() if (r := c % p)}
         return memo[key]
 
-    return rest(0, s)
+    out = rest(0, s)
+    rest = None  # the cycle through rest's cell, as for pick above
+    return out

@@ -13,9 +13,13 @@ Two equality routes are kept deliberately independent:
   the sample.
 
 Expansion is memoized per canonical Newton monomial, each one packed product
-(`arith._product`), so sides that are the same Newton monomial share it.  It
-stays independent of cancellation *between* Newton monomials: each side is
-expanded term by term and only the generator polynomials are compared.
+(`arith._product`), so sides that are the same Newton monomial share it.
+The memo keeps the product packed, one field width per generator, and a
+one-term class hands it out as a read-only `arith.PackedPoly`, decoded only
+on its first read; two sides on the same layout are compared on the packed
+keys.  It stays independent of cancellation *between* Newton monomials:
+each side is expanded term by term and only the generator polynomials are
+compared.
 
 The action on Newton classes is
 
@@ -33,7 +37,7 @@ from __future__ import annotations
 import random
 import time
 
-from .arith import _product, binom_mod, cartan, frobenius, poly_mul, poly_pow, poly_sum
+from .arith import PackedPoly, _product, binom_mod, cartan, frobenius, poly_mul, poly_pow, poly_sum
 from .finite_field import GaloisField
 from .scalar import Immutable
 
@@ -134,12 +138,14 @@ class SymmetricClass(Immutable):
         """Half the topological degree (N_m carries weight m)."""
         return max((sum(m * e for m, e in mono) for mono in self.terms), default=0)
 
-    def expand(self) -> GenPoly:
-        """Expansion as a polynomial in the generators (b_i or xi_k), a new
-        dict on every call; each Newton monomial is expanded once per
-        (p, context) and kept in `_NEWTON_CACHE`, as (mono / q)^q with q the
-        largest power of p dividing every exponent: one `arith._product`, its
-        fields sized by the weight sum m * e / q, which bounds every exponent."""
+    def expand(self) -> GenPoly | PackedPoly:
+        """Expansion as a polynomial in the generators (b_i or xi_k).  Each
+        Newton monomial is expanded once per (p, context) and kept packed in
+        `_NEWTON_CACHE`, as (mono / q)^q with q the largest power of p
+        dividing every exponent: one `arith._product`, each generator's field
+        sized by its own exponent bound.  A one-term class returns that entry,
+        or the entry times its coefficient, as a read-only `PackedPoly`, with
+        no copy; any other class returns a new dict."""
         p, context = self.p, self.context
         budget = default_budget(p)
         parts = []
@@ -155,8 +161,11 @@ class SymmetricClass(Immutable):
                     q *= p
                 # through the module global, so a wrapper on newton_expand sees it
                 factors = [(newton_expand(m, context, p), e // q) for m, e in mono]
-                poly = _NEWTON_CACHE[key] = _product(factors, sum(m * e for m, e in mono) // q, p, q)
+                poly = _NEWTON_CACHE[key] = _product(factors, p, q)
             parts.append((poly, c))
+        if len(parts) == 1:
+            ((poly, c),) = parts
+            return poly if c == 1 else poly.scaled(c, p)
         return poly_sum(parts, p)
 
     def __repr__(self) -> str:
@@ -175,9 +184,10 @@ _set_context = SymmetricClass.context.__set__
 _set_terms = SymmetricClass.terms.__set__
 
 
-# (p, context, canonical Newton monomial): its generator polynomial, never
-# mutated; `expand` hands out new sums of the entries
-_NEWTON_CACHE: dict[tuple[int, str, NewtonMonomial], GenPoly] = {}
+# (p, context, canonical Newton monomial): its packed generator polynomial,
+# which `expand` hands out; (p, context, m): N_m, kept by `newton_expand`.
+# No entry is mutated.
+_NEWTON_CACHE: dict[tuple[int, str, NewtonMonomial | int], GenPoly | PackedPoly] = {}
 
 
 def newton_expand(m: int, context: str, p: int) -> GenPoly:
@@ -187,12 +197,13 @@ def newton_expand(m: int, context: str, p: int) -> GenPoly:
 
     specialized to t_i = b_i (b-context) or t_(p^k-1) = xi_k, other t_i = 0
     (xi-context), with the Frobenius shortcut N_(pm) = N_m^p: in
-    characteristic p that is N_m with every exponent times p.  It is the
-    `_NEWTON_CACHE` entry of the one-factor monomial N_m = N_(m0)^(p^j).
+    characteristic p that is N_m with every exponent times p.  It is kept
+    in `_NEWTON_CACHE` under (p, context, m), apart from the packed entry
+    that `expand` keeps for the Newton monomial N_m.
     """
     if m <= 0:
         raise ValueError("Newton index must be positive")
-    key = (p, context, (_canonical_newton(m, 1, p),))
+    key = (p, context, m)
     cached = _NEWTON_CACHE.get(key)
     if cached is not None:
         return cached
@@ -310,7 +321,9 @@ class PropositionReport:
 def _equal_exact(a: SymmetricClass, b: SymmetricClass) -> bool:
     # expand the two sides separately so this route stays independent of
     # cancellation between Newton monomials; a Newton monomial both sides
-    # hold is expanded once (`expand` memoizes it) and the sides share it
+    # hold is expanded once (`expand` memoizes it) and the sides share it.
+    # Two one-term sides on the same layout compare their packed keys and
+    # are never decoded; any other pair compares the decoded polynomials
     return a.expand() == b.expand()
 
 

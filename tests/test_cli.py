@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from powerops import reports
+from powerops import cli, reports
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -77,7 +77,7 @@ def test_bad_power_op_index_is_config_error():
     assert proc.returncode == 2
 
 
-def test_removed_truncation_flags_are_rejected():
+def test_removed_truncation_flags_are_rejected(capsys):
     rejected = [
         # power_operation_value picks its own bounds, so no truncation flag exists
         ["compute", "power-op", "--p", "5", "--i", "2", "--xdeg", "3"],
@@ -96,11 +96,19 @@ def test_removed_truncation_flags_are_rejected():
         # no selected suite reads the precision
         ["verify", "--p", "3", "--suite", "relation", "--precision", "3"],
     ]
+    # in-process: argparse exits through SystemExit(2), and the checks after
+    # parsing return 2; either way nothing is computed
     for args in rejected:
-        proc = run_cli(args)
-        assert proc.returncode == 2, args
-        assert "Traceback" not in proc.stderr, args
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2, args
+        assert "Traceback" not in capsys.readouterr().err, args
+    # and one rejection through the installed entry point
     proc = run_cli(["compute", "power-op", "--p", "3", "--i", "2", "--precision", "1"])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
     assert "precision must be at least 2" in proc.stderr
     # a runner takes only the options it reads
     with pytest.raises(TypeError):

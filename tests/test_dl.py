@@ -1,6 +1,8 @@
 
 import functools
+import gc
 import sys
+import types
 
 import pytest
 
@@ -151,6 +153,23 @@ def test_relation_recursion_depth(p, monkeypatch):
         assert verify_relation(p).passed
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_relation_leaves_no_cartan_cycle(monkeypatch):
+    # with the cycle collector off, whatever `arith.cartan` leaves behind
+    # stays; its recursive closures must not outlive the call
+    monkeypatch.setattr(dl, "free_algebra", functools.cache(free_algebra.__wrapped__))
+    gc.collect()
+    gc.disable()
+    try:
+        assert verify_relation(3).passed
+        left = [
+            f for f in gc.get_objects()
+            if isinstance(f, types.FunctionType) and f.__qualname__.startswith("cartan.<locals>.")
+        ]
+    finally:
+        gc.enable()
+    assert left == []
 
 
 @pytest.mark.parametrize("p", [3, 5])

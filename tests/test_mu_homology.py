@@ -4,7 +4,7 @@ import time
 import pytest
 
 from powerops import arith, mu_homology
-from powerops.arith import binary_power, poly_mul, poly_pow, poly_sum
+from powerops.arith import binary_power, frobenius, poly_mul, poly_pow, poly_sum
 from powerops.dl import DLAlgebra
 from powerops.finite_field import GaloisField
 from powerops.mu_homology import (
@@ -285,20 +285,31 @@ def _identity4_sides(p):
     return lhs, n1.pow((p - 2) * p) * n2.pow(p)
 
 
-def test_expand_returns_a_fresh_dict(monkeypatch):
+def test_expand_is_read_only_or_a_fresh_dict(monkeypatch):
+    # a one-term class hands out its memo entry, or the entry scaled, and
+    # neither takes a write; a class of several terms gets a new dict, which
+    # the caller may change without touching the memo
     monkeypatch.setattr(mu_homology, "_NEWTON_CACHE", {})
     p = 5
-    cls = SymmetricClass.newton(p, "b", 4).pow(3) * 2 + SymmetricClass.newton(p, "b", 3)
+    single = SymmetricClass.newton(p, "b", 4).pow(3)
+    got = single.expand()
+    want = list(got.items())
+    for poly in (got, (single * 2).expand()):
+        with pytest.raises(TypeError):
+            poly[((1, 4),)] = 3
+        with pytest.raises(TypeError):
+            del poly[want[0][0]]
+    assert single.expand() is got is mu_homology._NEWTON_CACHE[p, "b", ((4, 3),)]
+    assert list(got.items()) == want
+    assert list((single * 2).expand().items()) == [(m, 2 * c % p) for m, c in want]
+    cls = single * 2 + SymmetricClass.newton(p, "b", 3)
     first = cls.expand()
-    want = dict(first)
+    assert type(first) is dict
+    before = list(first.items())
     first.clear()
     first[((9, 9),)] = 1
-    assert cls.expand() == want
-    single = SymmetricClass.newton(p, "b", 4)
-    got = single.expand()
-    got[((1, 4),)] = 3
-    assert single.expand() == newton_expand(4, "b", p)
-    assert single.expand() != got
+    assert list(cls.expand().items()) == before
+    assert list(single.expand().items()) == want
 
 
 def test_expand_memo_keys_on_prime_and_context(monkeypatch):
@@ -375,28 +386,94 @@ def test_expand_matches_factor_by_factor_products(monkeypatch, p, context):
 
 def test_identity4_second_expansion_makes_no_product(monkeypatch):
     # both sides of identity 4 are one Newton monomial: once the right side is
-    # expanded, expanding it again, or the left side, multiplies nothing
+    # expanded, expanding it again, or the left side, multiplies nothing.
+    # Every packed product goes through arith._packed_mul and every other
+    # one through poly_mul; the first expansion shows that both are counted
     monkeypatch.setattr(mu_homology, "_NEWTON_CACHE", {})
     p = 7
     lhs, rhs = _identity4_sides(p)
     assert list(lhs.terms) == list(rhs.terms)
-    want = rhs.expand()
-    calls = [0]
+    calls = {"poly_mul": 0, "_packed_mul": 0}
+    packed_mul = arith._packed_mul
 
     def counting_mul(a, b, q):
-        calls[0] += 1
+        calls["poly_mul"] += 1
         return poly_mul(a, b, q)
 
-    def counting_product(factors, top, q, r=1):
-        calls[0] += 1
-        return arith._product(factors, top, q, r)
+    def counting_packed_mul(a, b, q):
+        calls["_packed_mul"] += 1
+        return packed_mul(a, b, q)
 
     monkeypatch.setattr(mu_homology, "poly_mul", counting_mul)
     monkeypatch.setattr(arith, "poly_mul", counting_mul)
-    monkeypatch.setattr(mu_homology, "_product", counting_product)
+    monkeypatch.setattr(arith, "_packed_mul", counting_packed_mul)
+    want = rhs.expand()
+    assert calls["poly_mul"] > 0 and calls["_packed_mul"] > 0
+    calls.update(poly_mul=0, _packed_mul=0)
     assert rhs.expand() == want
     assert lhs.expand() == want
+    assert calls == {"poly_mul": 0, "_packed_mul": 0}
+
+
+def test_identity4_expansion_is_never_decoded(monkeypatch):
+    # at p = 7 the two sides of identity 4 share one packed expansion of
+    # 10 471 terms on a layout 31 bits wide (fields for exponent bounds 42,
+    # 21, 14, 8, 7, 7 and six times 1, times q = 7); expanding, comparing and
+    # counting it decode no key, and the first read of a monomial decodes
+    # it once
+    monkeypatch.setattr(mu_homology, "_NEWTON_CACHE", {})
+    p = 7
+    lhs, rhs = _identity4_sides(p)
+    calls = [0]
+    unpack = arith._unpack
+
+    def counting_unpack(*args):
+        calls[0] += 1
+        return unpack(*args)
+
+    monkeypatch.setattr(arith, "_unpack", counting_unpack)
+    assert lhs.expand() == rhs.expand()
+    assert len(lhs.expand()) == len(rhs.expand()) == 10471
     assert calls[0] == 0
+    poly = rhs.expand()
+    fields, q = poly.layout
+    assert [(v, w) for v, w, _ in fields] == list(zip(range(1, 13), (6, 5, 4, 4, 3, 3, 1, 1, 1, 1, 1, 1)))
+    assert sum(w for _, w, _ in fields) == 31 and q == p
+    assert len(list(poly.items())) == len(dict(poly)) == 10471
+    assert calls[0] == 1
+
+
+def test_expanded_equality_agrees_with_decoded_dicts(monkeypatch):
+    # packed values on the same layout compare their keys; values on
+    # different layouts, and a packed value against a plain dict in either
+    # order, compare the decoded polynomials
+    monkeypatch.setattr(mu_homology, "_NEWTON_CACHE", {})
+    p = 5
+    lhs, rhs = _identity4_sides(p)
+    n4 = newton_expand(4, "b", p)
+    # N_4^5 packed twice: fields for exponents up to 5 * 4, or up to 4 and q = 5
+    by_power, by_twist = arith._product([(n4, p)], p), arith._product([(n4, 1)], p, p)
+    assert by_power.layout != by_twist.layout
+    wrong = dict(by_twist.items())
+    m = next(iter(wrong))
+    wrong[m] = wrong[m] % (p - 1) + 1
+    pairs = [
+        (lhs.expand(), rhs.expand()),
+        (by_power, by_twist),
+        (rhs.expand(), SymmetricClass.newton(p, "b", 4).pow(3).expand()),
+        (rhs.expand(), (-rhs).expand()),
+        (by_twist, frobenius(n4, p)),
+        (frobenius(n4, p), by_twist),
+        (by_power, wrong),
+        (wrong, by_power),
+    ]
+    wants = []
+    for a, b in pairs:
+        want = dict(a.items()) == dict(b.items())
+        assert (a == b) is want, (a, b)
+        assert (a != b) is not want, (a, b)
+        wants.append(want)
+    assert wants == [True, True, False, False, True, True, False, False]
 
 
 def test_display4_sign_is_plus():
