@@ -59,6 +59,7 @@ class DLAlgebra:
         self.generators = dict(generators)
         self._q_factor_cache: dict[tuple[int, Factor], dict[Monomial, int]] = {}
         self._q_monomial_cache: dict[tuple[int, Monomial], DLPolynomial] = {}
+        self._relation: RelationSpec | None = None  # set by RelationSpec.for_prime
 
     # -- element constructors ------------------------------------------------
 
@@ -162,7 +163,9 @@ def free_algebra(p: int) -> DLAlgebra:
     """The free algebra on x in degree 2(p-1) and y in degree 4(p-1).
 
     One instance per prime, shared by the relation, the sigma solve and the
-    factorization, so each reuses the Q caches the others have filled.
+    factorization, so each reuses the Q caches the others have filled.  It
+    also holds the relation's statement (`RelationSpec.for_prime`), so the
+    statement lives exactly as long as the algebra.
     """
     return DLAlgebra(p, {"x": 2 * (p - 1), "y": 4 * (p - 1)})
 
@@ -258,43 +261,52 @@ def _render_monomial(m: Monomial) -> str:
 
 
 class RelationSpec:
-    """Formal inputs of the relation and the substitution maps used by the
-    factorization identity, all over the free algebra on x (and y)."""
+    """The relation R(a, b, c) = 0 at one prime, stated once over
+    `free_algebra(p)` and read by the relation, its five identities and the
+    factorization.
 
-    __slots__ = ("p", "algebra", "x", "a", "b", "c")
+    It names each class or product more than one of them uses: x, x^(p-1),
+    Q^p x, Q^(p^2) Q^p x, (x^(p-1))^p Q^p x, (Q^p x)^p, Q^p x * x^p, the
+    twists T_i = (Q^(p^2-p-i+1) x^(p-1))^p for i = 0..p (T_p is
+    (x^(p-1))^(p^2)), the inputs a, b, c (c[0] unused) and the products
+    T_i c_i for 0 < i < p.  `for_prime` builds it on first use and the
+    algebra holds it, so it lives exactly as long as its algebra.
+    """
 
-    def __init__(
-        self,
-        p: int,
-        algebra: DLAlgebra,
-        x: DLPolynomial,
-        a: list[DLPolynomial],
-        b: DLPolynomial,
-        c: list[DLPolynomial],  # c[0] unused; c[1..p] as defined
-    ):
-        self.p, self.algebra, self.x, self.a, self.b, self.c = p, algebra, x, a, b, c
+    __slots__ = (
+        "p", "algebra", "x", "xp1", "qpx", "qqx", "xp1p_qpx", "qpx_p", "qpx_xp",
+        "twists", "a", "b", "c", "twist_c",
+    )
 
-    @classmethod
-    def for_prime(cls, p: int) -> "RelationSpec":
-        algebra = free_algebra(p)
-        x = algebra.gen("x")
-        xp1 = x.pow(p - 1)
-        qpx = x.q(p)
-        a = [x.q(p * p) - xp1.frob() * qpx]
-        for i in range(1, p - 1):
-            a.append(x.q(p * p + i))
-        a.append(x.q(p * p + p - 1) + qpx.frob())
+    def __init__(self, algebra: DLAlgebra):
+        p = self.p = algebra.p
+        self.algebra = algebra
+        x = self.x = algebra.gen("x")
+        xp1 = self.xp1 = x.pow(p - 1)
+        qpx = self.qpx = x.q(p)
+        self.qqx = qpx.q(p * p)
+        self.xp1p_qpx = xp1.frob() * qpx
+        self.qpx_p = qpx.frob()
+        self.qpx_xp = qpx * x.pow(p)
+        self.twists = [xp1.q(p * p - p - i + 1).frob() for i in range(p + 1)]
+        self.a = [x.q(p * p) - self.xp1p_qpx] + [x.q(p * p + i) for i in range(1, p - 1)]
+        self.a.append(x.q(p * p + p - 1) + self.qpx_p)
         # the x^(p^2) term carries a minus sign: this is the unique choice
         # for which the grand sum vanishes identically (the Frobenius of b
         # must contribute Q^(p^2-p+1)(x^(p-1))^p - x^(p^3)) and for which b
         # dies on the conjugate degree-2(p-1) class of the dual Steenrod
         # algebra, where Q^(p^2-p+1) of its (p-1)st power is +(that class)^(p^2)
-        b = xp1.q(p * p - p + 1) - x.pow(p * p)
-        c: list[DLPolynomial] = [algebra.zero()]
-        for i in range(1, p):
-            c.append(qpx.q(p * p + p * i))
-        c.append(x.q(2 * p) + qpx * x.pow(p))
-        return cls(p, algebra, x, a, b, c)
+        self.b = xp1.q(p * p - p + 1) - x.pow(p * p)
+        self.c = [algebra.zero()] + [qpx.q(p * p + p * i) for i in range(1, p)]
+        self.c.append(x.q(2 * p) + self.qpx_xp)
+        self.twist_c = [t * ci for t, ci in zip(self.twists[1:p], self.c[1:p])]
+
+    @classmethod
+    def for_prime(cls, p: int) -> "RelationSpec":
+        algebra = free_algebra(p)
+        if algebra._relation is None:
+            algebra._relation = cls(algebra)
+        return algebra._relation
 
     def relation_value(
         self,
@@ -302,38 +314,30 @@ class RelationSpec:
         b: DLPolynomial | None = None,
         c: list[DLPolynomial] | None = None,
     ) -> DLPolynomial:
-        """The grand sum; zero when evaluated on the defining inputs."""
+        """The grand sum; zero when evaluated on the defining inputs.  On the
+        statement's own c it reads the stored T_i c_i; any other c builds
+        its own."""
         p = self.p
-        A = self.algebra
         a = a or self.a
         b = b if b is not None else self.b
         c = c or self.c
-        x = A.gen("x")
-        xp1 = x.pow(p - 1)
-        qqx = x.q(p).q(p * p)  # Q^(p^2) Q^p x
         parts = [(a[0].q(p**3 + p), 1)]
         for i in range(1, p - 1):
             parts.append((a[i].q(p**3 + p - i), -1 if i % 2 else 1))
-        parts += [(a[p - 1].q(p**3 + 1), 1), (b.frob() * qqx, 1)]
-        for i in range(1, p):
-            parts.append((xp1.q(p * p - p - i + 1).frob() * c[i], 1))
-        parts.append((xp1.pow(p).frob() * c[p].q(2 * p * p - p), 1))
-        return A.sum(parts)
+        parts += [(a[p - 1].q(p**3 + 1), 1), (b.frob() * self.qqx, 1)]
+        if c is self.c:
+            parts += [(tc, 1) for tc in self.twist_c]
+        else:
+            parts += [(t * ci, 1) for t, ci in zip(self.twists[1:p], c[1:p])]
+        parts.append((self.twists[p] * c[p].q(2 * p * p - p), 1))
+        return self.algebra.sum(parts)
 
 
 class RelationReport:
-    __slots__ = ("p", "residual", "identities", "en_threshold", "residual_monomials")
+    __slots__ = ("p", "residual", "identities", "en_threshold")
 
-    def __init__(
-        self,
-        p: int,
-        residual: DLPolynomial,
-        identities: dict[str, bool],
-        en_threshold: int,
-        residual_monomials: list[str] | None = None,
-    ):
+    def __init__(self, p: int, residual: DLPolynomial, identities: dict[str, bool], en_threshold: int):
         self.p, self.residual, self.identities, self.en_threshold = p, residual, identities, en_threshold
-        self.residual_monomials = [] if residual_monomials is None else residual_monomials
 
     @property
     def passed(self) -> bool:
@@ -351,38 +355,32 @@ def relation_en_threshold(p: int) -> int:
 
 def verify_relation(p: int) -> RelationReport:
     """Expand the grand sum on its defining inputs, plus the five
-    straightening identities it reduces to, each checked individually."""
+    straightening identities it reduces to, each checked individually.
+
+    Every left side goes through `q` on its own input; the right sides read
+    the statement's classes and products."""
     rel = RelationSpec.for_prime(p)
-    A = rel.algebra
-    x = rel.x
-    xp1 = x.pow(p - 1)
-    qpx = x.q(p)
+    A, x, qpx, qqx, twists = rel.algebra, rel.x, rel.qpx, rel.qqx, rel.twists
 
     identities = {}
     lhs1 = x.q(p * p).q(p**3 + p)
     rhs1 = A.sum([(x.q(p * p + i).q(p**3 + p - i), 1 if i % 2 else -1) for i in range(1, p)])
     identities["adem_top_pair"] = lhs1 == rhs1
 
-    identities["pth_power_vanishes"] = qpx.frob().q(p**3 + 1).is_zero()
+    identities["pth_power_vanishes"] = rel.qpx_p.q(p**3 + 1).is_zero()
 
-    lhs3 = (xp1.frob() * qpx).q(p**3 + p)
-    rhs3 = A.sum([(xp1.q(p * p - p - i + 1).frob() * qpx.q(p * p + p * i), 1) for i in range(p + 1)])
-    identities["cartan_frobenius_block"] = lhs3 == rhs3
+    lhs3 = rel.xp1p_qpx.q(p**3 + p)
+    # T_i Q^(p^2+pi) Q^p x for i = 0..p: the statement's T_i c_i and two ends
+    rhs3 = [twists[0] * qqx] + rel.twist_c + [twists[p] * qpx.q(2 * p * p)]
+    identities["cartan_frobenius_block"] = lhs3 == A.sum((t, 1) for t in rhs3)
 
     identities["adem_interchange"] = qpx.q(2 * p * p) == x.q(2 * p).q(2 * p * p - p)
 
-    lhs5 = (x.pow(p) * qpx).q(2 * p * p - p)
-    rhs5 = x.pow(p * p) * qpx.q(p * p)
+    lhs5 = rel.qpx_xp.q(2 * p * p - p)
+    rhs5 = x.pow(p * p) * qqx
     identities["cartan_mixed_term"] = lhs5 == rhs5
 
-    residual = rel.relation_value()
-    return RelationReport(
-        p,
-        residual,
-        identities,
-        relation_en_threshold(p),
-        residual.monomials(),
-    )
+    return RelationReport(p, rel.relation_value(), identities, relation_en_threshold(p))
 
 
 class SigmaSolution:
@@ -474,46 +472,35 @@ def verify_factorization(p: int, sigmas: list[int] | None = None) -> Factorizati
     """
     if sigmas is None:
         sigmas = solve_sigma(p).sigmas
-    A = free_algebra(p)
-    x, y = A.gen("x"), A.gen("y")
-    xp1 = x.pow(p - 1)
-    qpx = x.q(p)
-    qqx = qpx.q(p * p)
+    rel = RelationSpec.for_prime(p)
+    A, x = rel.algebra, rel.x
+    y = A.gen("y")
+    xy = x.pow((p - 2) * p) * y.pow(p)  # in mu(b) and in beta(z^2)
 
-    # substitution dictionaries: images of the formal inputs under each map.
+    # images of the formal inputs under each map.
     # mu(a_0) = Q^(p^2-1) y - (x^(p-1))^p Q^p x; other a_i and the c_i with
     # i < p map to zero; mu(b) and mu(c_p) pick up the y-corrections.
     # mu(b) is forced by requiring x -> -N_(p-1), y -> -N_(2(p-1))/2 to
     # intertwine it with b, given Q^(p^2-p+1)(N_(p-1)^(p-1)) =
     # +N_(p-1)^((p-2)p) N_(2(p-1))^p
-    mu = {
-        "a_0": y.q(p * p - 1) - xp1.frob() * qpx,
-        "b": x.pow((p - 2) * p) * y.pow(p) * 2 - x.pow(p * p),
-        "c_p": -y.q(2 * p - 1) + qpx * x.pow(p),
-    }
+    mu_a0 = y.q(p * p - 1) - rel.xp1p_qpx
+    mu_b = xy * 2 - x.pow(p * p)
+    mu_cp = -y.q(2 * p - 1) + rel.qpx_xp
     # the y-part coefficient of beta(z_(p^2(p-1))) is -2, forced by
     # (beta z)^p = Q^(p^2-p+1)(x^(p-1))^p - 2 x^(p^2(p-2)) y^(p^2);
-    # -2 agrees with 1/2 only at p = 5
-    beta = {
-        "z_sq": x.pow(p * (p - 2)) * y.pow(p) * (-2) + xp1.q(p * p - p + 1),
-        "z_last": y.q(2 * p - 1) + x.q(2 * p),
-    }
-    for i in range(1, p - 1):
-        beta[f"w_{i}"] = y.q(p * p + i)
-    for i in range(1, p):
-        beta[f"c_{i}"] = qpx.q(p * p + p * i)
-    nu = {"d": -(y.q(p * p + p - 1).q(p**3))}  # composed with Qbar(z) = Q^(p^2+p-1) y
+    # -2 agrees with 1/2 only at p = 5.  beta(c_i) = c_i for 0 < i < p, so
+    # beta o alpha reads the statement's T_i c_i
+    beta_z_sq = xy * (-2) + rel.xp1.q(p * p - p + 1)
+    beta_z_last = y.q(2 * p - 1) + x.q(2 * p)
+    beta_w = [y.q(p * p + i) for i in range(1, p - 1)]
+    qbar_nu = -(y.q(p * p + p - 1).q(p**3))  # nu(d) composed with Qbar(z) = Q^(p^2+p-1) y
 
     zero = A.zero()
-    mu_R = RelationSpec.for_prime(p).relation_value(
-        a=[mu["a_0"]] + [zero] * (p - 1), b=mu["b"], c=[zero] * p + [mu["c_p"]]
-    )
-    qbar_nu = nu["d"]
-    parts = [(beta[f"w_{i}"].q(p**3 + p - (i + 1)), sigmas[i - 1]) for i in range(1, p - 1)]
-    parts.append((beta["z_sq"].frob() * qqx, -1))
-    for i in range(1, p):
-        parts.append((xp1.q(p * p - p - i + 1).frob() * beta[f"c_{i}"], -1))
-    parts.append((xp1.pow(p).frob() * beta["z_last"].q(2 * p * p - p), -1))
+    mu_R = rel.relation_value(a=[mu_a0] + [zero] * (p - 1), b=mu_b, c=[zero] * p + [mu_cp])
+    parts = [(w.q(p**3 + p - (i + 1)), sigmas[i - 1]) for i, w in enumerate(beta_w, 1)]
+    parts.append((beta_z_sq.frob() * rel.qqx, -1))
+    parts += [(tc, -1) for tc in rel.twist_c]
+    parts.append((rel.twists[p] * beta_z_last.q(2 * p * p - p), -1))
     beta_alpha = A.sum(parts)
 
     residual = mu_R - qbar_nu - beta_alpha

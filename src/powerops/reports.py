@@ -181,7 +181,7 @@ def suite_relation(p: int) -> SuiteReport:
         "grand_relation",
         result.residual.is_zero(),
         "0",
-        "0" if result.residual.is_zero() else "; ".join(result.residual_monomials[:4]),
+        "0" if result.residual.is_zero() else "; ".join(result.residual.monomials()[:4]),
         t0,
     )
     for name, ok in result.identities.items():

@@ -3,6 +3,7 @@ import functools
 import gc
 import sys
 import types
+import weakref
 
 import pytest
 
@@ -123,9 +124,11 @@ def test_relation_large_primes(p):
     assert verify_factorization(p).passed
 
 
-# recursion depth verify_relation(p) may add to its caller's: 3 over the least
-# that passes (20, 22, 24 on Python 3.11), 3 under the least for an apply_q
-# that feeds its sum a generator evaluating Q (26, 28, 30)
+# recursion depth verify_relation(p) may add to its caller's: over the least
+# that passes (21, 22, 24 on Python 3.11, with the statement built one frame
+# below `RelationSpec.for_prime`) by 2 at p = 3 and 3 at 5 and 7, and 3 under
+# the least for an apply_q that feeds its sum a generator evaluating Q
+# (26, 28, 30)
 RELATION_DEPTH = {3: 23, 5: 25, 7: 27}
 
 
@@ -173,13 +176,55 @@ def test_relation_leaves_no_cartan_cycle(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [3, 5])
-def test_verifiers_share_one_free_algebra(p):
+def test_verifiers_share_one_free_algebra(p, monkeypatch):
     A = free_algebra(p)
     assert A is free_algebra(p)
     assert A.generators == {"x": 2 * (p - 1), "y": 4 * (p - 1)}
-    assert RelationSpec.for_prime(p).algebra is A
+    rel = RelationSpec.for_prime(p)
+    assert rel.algebra is A and RelationSpec.for_prime(p) is rel
     assert solve_sigma(p).residual.algebra is A
     assert verify_factorization(p).residual.algebra is A
+    # the statement lives as long as its algebra: a fresh algebra gets a
+    # fresh statement, and dropping that algebra frees both
+    monkeypatch.setattr(dl, "free_algebra", functools.cache(free_algebra.__wrapped__))
+    fresh = RelationSpec.for_prime(p)
+    assert fresh is not rel and fresh.algebra is dl.free_algebra(p) is not A
+    gone = weakref.ref(fresh.algebra)
+    dl.free_algebra.cache_clear()
+    del fresh
+    gc.collect()
+    assert gone() is None
+
+
+def test_verifiers_build_each_product_once(monkeypatch):
+    # every product and Frobenius twist the relation, its identities, the
+    # sigma solve and the factorization ask for at p = 5, keyed by its
+    # operands (either order); the statement names each one once (before
+    # it, 35 of the 66 calls repeated an earlier one)
+    monkeypatch.setattr(dl, "free_algebra", functools.cache(free_algebra.__wrapped__))
+    mul, frob = DLPolynomial.__mul__, DLPolynomial.frob
+    calls = []
+
+    def key(f):
+        return frozenset(f.terms.items())
+
+    def counted_mul(self, other):
+        if not isinstance(other, int):
+            calls.append(("mul", frozenset((key(self), key(other)))))
+        return mul(self, other)
+
+    def counted_frob(self, i=1):
+        calls.append(("frob", key(self), i))
+        return frob(self, i)
+
+    monkeypatch.setattr(DLPolynomial, "__mul__", counted_mul)
+    monkeypatch.setattr(DLPolynomial, "__rmul__", counted_mul)
+    monkeypatch.setattr(DLPolynomial, "frob", counted_frob)
+    p = 5
+    assert verify_relation(p).passed
+    assert solve_sigma(p).verified
+    assert verify_factorization(p).passed
+    assert (len(calls), len(calls) - len(set(calls))) == (31, 0)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -192,6 +237,49 @@ def test_relation_mutation_detected(p):
     bad_a = list(rel.a)
     bad_a[0] = bad_a[0] + rel.x.pow(p * p + 1)
     assert not rel.relation_value(a=bad_a).is_zero()
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_relation_value_reads_and_builds_in_one_order(p):
+    # a c passed in builds its own T_i c_i; the statement's own c reads the
+    # stored ones, in the same order
+    rel = RelationSpec.for_prime(p)
+    zero = rel.algebra.zero()
+    assert list(rel.relation_value(c=list(rel.c)).terms.items()) == list(rel.relation_value().terms.items())
+    built = rel.relation_value(b=zero, c=list(rel.c))
+    assert built.terms and list(built.terms.items()) == list(rel.relation_value(b=zero).terms.items())
+
+
+# three nonzero residuals at p = 3, terms in insertion order: the relation
+# with b = 0, with x^10 added to a_0, and the factorization with each sigma + 1
+MUTANT_RESIDUALS_3 = {
+    "b_zero": [
+        (((((), "x"), 9), (((5,), "x"), 3), (((9, 3), "x"), 1)), 1),
+        (((((3,), "x"), 3), (((4,), "x"), 3), (((9, 3), "x"), 1)), 1),
+        (((((), "x"), 27), (((9, 3), "x"), 1)), 1),
+    ],
+    "bad_a": [
+        (((((3,), "x"), 10),), 1),
+        (((((), "x"), 27), (((12,), "x"), 1)), 1),
+    ],
+    "sigma_plus_one": [
+        (((((28, 10), "y"), 1),), 2),
+    ],
+}
+
+
+def test_mutant_residual_term_order():
+    p = 3
+    rel = RelationSpec.for_prime(p)
+    bad_a = list(rel.a)
+    bad_a[0] = bad_a[0] + rel.x.pow(p * p + 1)
+    bad_sigmas = [(s + 1) % p for s in solve_sigma(p).sigmas]
+    got = {
+        "b_zero": rel.relation_value(b=rel.algebra.zero()),
+        "bad_a": rel.relation_value(a=bad_a),
+        "sigma_plus_one": verify_factorization(p, sigmas=bad_sigmas).residual,
+    }
+    assert {name: list(r.terms.items()) for name, r in got.items()} == MUTANT_RESIDUALS_3
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -125,7 +125,6 @@ def test_record_defaults_are_fresh_per_instance():
     x = TruncatedSeries.variable(P, "x", ("x",), (3,), K)
     made = [
         (lambda: powerop.PipelineTrace(P, *[x] * 7), "labels", powerop.STAGE_FORMULAS),
-        (lambda: dl.RelationReport(P, None, {}, 0), "residual_monomials", []),
         (lambda: mu_homology.PropositionReport(P, "b"), "checks", []),
         (lambda: reports.SuiteReport("stdl", P), "checks", []),
     ]
