@@ -6,6 +6,7 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -56,7 +57,12 @@ def _resolve_seed(args) -> int:
         raise SystemExit(2)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one, so a process that calls `main` many times builds it once and an
+    import builds none.  `parse_args` keeps no state between argvs: each
+    gets a fresh namespace, and a rejected argv exits with 2 as before."""
     ap = argparse.ArgumentParser(prog="powerops", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

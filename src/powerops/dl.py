@@ -316,7 +316,7 @@ class RelationSpec:
     ) -> DLPolynomial:
         """The grand sum; zero when evaluated on the defining inputs.  On the
         statement's own c it reads the stored T_i c_i; any other c builds
-        its own."""
+        its own, skipping each zero c_i, whose product adds no term."""
         p = self.p
         a = a or self.a
         b = b if b is not None else self.b
@@ -328,7 +328,7 @@ class RelationSpec:
         if c is self.c:
             parts += [(tc, 1) for tc in self.twist_c]
         else:
-            parts += [(t * ci, 1) for t, ci in zip(self.twists[1:p], c[1:p])]
+            parts += [(t * ci, 1) for t, ci in zip(self.twists[1:p], c[1:p]) if not ci.is_zero()]
         parts.append((self.twists[p] * c[p].q(2 * p * p - p), 1))
         return self.algebra.sum(parts)
 

@@ -261,9 +261,10 @@ class TruncatedSeries(Immutable):
         A series of one or two terms a*x^e + b*x^f is raised by the binomial
         theorem, sum_j C(n, j) a^(n-j) b^j x^((n-j)e + jf), over only the j
         whose exponent lies inside the bounds (a one-term series is its
-        j = 0 term).  a^(n-j) and b^j are taken by `binary_power` from the
-        one the series ladder starts from, and C(n, j) is multiplied in as an
-        exact integer, so a one-term power has the digits of the series
+        j = 0 term).  `_coefficient_powers` takes the a^(n-j) and the b^j
+        for all j at once, each with the digits of `binary_power` from the
+        one the series ladder starts from, and C(n, j) is multiplied in as
+        an exact integer, so a one-term power has the digits of the series
         ladder and a two-term power keeps at least every digit the series
         ladder gets right.  Three or more terms take that ladder."""
         if n >= 1 and self.terms:
@@ -288,12 +289,14 @@ class TruncatedSeries(Immutable):
                 hi = min(hi, (bound - n * u - 1) // (w - u))
             elif w < u:
                 lo = max(lo, (bound - n * u) // (w - u) + 1)
+        a_pows = _coefficient_powers(a, range(n - hi, n - lo + 1), one)
+        b_pows = _coefficient_powers(b, range(lo, hi + 1), one)
         terms = []
         for j in range(lo, hi + 1):
             # a product by b^0 or by C(n, j) = 1 would change no digit
-            c = binary_power(a, n - j, one, operator.mul)
+            c = a_pows[hi - j]
             if j:
-                c = c * binary_power(b, j, one, operator.mul)
+                c = c * b_pows[j - lo]
             k = math.comb(n, j)
             exp = tuple((n - j) * u + j * w for u, w in zip(e, f))
             terms.append((exp, c if k == 1 else c.mul_int(k)))
@@ -359,6 +362,36 @@ def series_precision(f: TruncatedSeries) -> int:
     return DEFAULT_PRECISION
 
 
+def _coefficient_powers(base: CoeffV3, exps: range, one: CoeffV3) -> list[CoeffV3]:
+    """base^m for each m of an increasing range, each with every digit of
+    `binary_power(base, m, one, operator.mul)`.
+
+    The ladder's products are taken in its order, result * base^(2^k), but
+    each squaring base^(2^k) is taken once for all m.  A v3-free base steps
+    from the first power instead, base^(m+1) = base^m * base: its products
+    add valuations and multiply units mod p^min(prec), which is associative,
+    so the digits are the ladder's.  A base with a v3 part keeps the
+    ladder's grouping: the v3 part of each product is a p-adic sum, and a
+    sum can lose digits."""
+    out: list[CoeffV3] = []
+    squares = [base]
+    stepped = base.v3part.is_zero()
+    for m in exps:
+        if stepped and out:
+            out.append(out[-1] * base)
+            continue
+        c, k = one, 0
+        while m:
+            if m & 1:
+                c = c * squares[k]
+            m >>= 1
+            k += 1
+            if m and k == len(squares):
+                squares.append(squares[-1] * squares[-1])
+        out.append(c)
+    return out
+
+
 _set_vars = TruncatedSeries.vars.__set__
 _set_bounds = TruncatedSeries.bounds.__set__
 _set_terms = TruncatedSeries.terms.__set__
@@ -366,17 +399,23 @@ _set_p = TruncatedSeries.p.__set__
 
 
 def _substitute_plain(f: TruncatedSeries, var: str, g: TruncatedSeries) -> TruncatedSeries:
-    """f(var := g) for plain series, by a power ladder over the sparse slots."""
+    """f(var := g) for plain series, by a power ladder over the sparse slots:
+    each power of g is the last one times g^d, d the gap between slots, and
+    each distinct g^d is taken once per call."""
     slots = f.slots(var)
     out = TruncatedSeries.zero(f.p, g.vars, g.bounds)
     if not slots:
         return out
     prec = max(series_precision(f), series_precision(g))
     power = TruncatedSeries.one(f.p, g.vars, g.bounds, prec)
+    steps: dict[int, TruncatedSeries] = {}
     prev = 0
     for k in sorted(slots):
-        power = power * g.pow(k - prev) if k != prev else power
-        prev = k
+        d, prev = k - prev, k
+        if d:
+            if d not in steps:
+                steps[d] = g.pow(d)
+            power = power * steps[d]
         out = out + slots[k].with_bounds(g.bounds) * power
     return out
 

@@ -180,3 +180,58 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_back_to_back_main_calls_match_each_call_alone(monkeypatch, capsys):
+    # one parser serves every call in a process; no argv may leave state
+    # behind for the next (the last verify must not keep the first's seed)
+    monkeypatch.delenv("POWEROPS_SEED", raising=False)
+    argvs = [
+        ["verify", "--p", "3", "--suite", "mudl", "--format", "json", "--seed", "9"],
+        ["compute", "power-op", "--p", "5", "--i", "2", "--format", "json"],
+        ["solve", "sigma", "--p", "3"],
+        ["compute", "power-op", "--p", "3", "--i", "2", "--seed", "1"],
+        ["verify", "--p", "3", "--suite", "mudl", "--format", "json"],
+    ]
+
+    def call(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        if argv[0] == "verify":
+            out = reports.normalize_report(json.loads(out))  # timings differ run to run
+        return code, out, err
+
+    alone = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        alone.append(call(argv))
+    together = [call(argv) for argv in argvs]
+    assert together == alone
+    assert [code for code, _, _ in together] == [0, 0, 0, 2, 0]
+    assert (together[0][1]["seed"], together[4][1]["seed"]) == (9, 0)
+
+
+def test_build_parser_returns_one_parser():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_cli_import_builds_no_parser():
+    # the parser is built on the first main call, so a process that only
+    # imports the package does not pay for it
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+        "import powerops.cli\n"
+        "print(len(built))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"

@@ -95,6 +95,28 @@ def test_formal_sums_oracle_from_its_least_precision(p, least):
         assert _g_by_formal_sums(F, *bounds) == g_series(F, *bounds), k
 
 
+def test_formal_sums_oracle_coefficient_product_budget(monkeypatch):
+    # the g oracle at p = 5 makes 527 coefficient products: each base of a
+    # two-term power squares once for all binomial indices j, and a v3-free
+    # base steps from one power to the next.  A binary_power ladder per j
+    # made 1 035.
+    p = 5
+    bounds = (2 * p + 1, p**3 + p)
+    F = FormalGroupLaw.v3_truncated(p, K)
+    calls = [0]
+    mul = CoeffV3.__mul__
+
+    def counting_mul(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(CoeffV3, "__mul__", counting_mul)
+    oracle = _g_by_formal_sums(F, *bounds)
+    assert calls[0] == 527
+    monkeypatch.undo()
+    assert oracle == g_series(F, *bounds)
+
+
 def test_g_series_rejects_out_of_scope_logarithm():
     # a v3 correction at x^2 breaks [w^i](alpha) = w^i alpha, since 2 != 1 mod 4
     p = 5

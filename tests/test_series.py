@@ -10,6 +10,7 @@ from powerops.arith import binary_power
 from powerops.scalar import CoeffV3, PAdicScalar
 from powerops.series import (
     TruncatedSeries,
+    _substitute_plain,
     divide_by_alpha_power,
     lagrange_invert,
     quotient_normalize,
@@ -514,6 +515,95 @@ def test_two_term_pow_keeps_the_ladder_digits(case):
         for a, b in ((mine.plain, theirs.plain), (mine.v3part, theirs.v3part)):
             if not b.is_zero():
                 assert a == b and a.prec >= b.prec, (e, mine, theirs)
+
+
+@st.composite
+def short_powers(draw):
+    """p, the variables, bounds, one or two terms ((exponent, (plain, v3)), ...)
+    and n up to p^3.  A part is None or (valuation, unit, prec), with
+    valuations -1..2 and 1 to 9 digits, each part its own."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    nvars = draw(st.sampled_from([1, 2]))
+    bounds = draw(st.tuples(*[st.integers(2, 30) | st.integers(2, p**3 + 1)] * nvars))
+    exps = st.tuples(*[st.integers(0, min(3, b - 1)) for b in bounds])
+    unit = st.tuples(st.integers(1, p - 1), st.integers(0, p**8 - 1)).map(lambda t: t[0] + p * t[1])
+    part = st.tuples(st.integers(-1, 2), unit, st.integers(1, 9))
+
+    def coeff():
+        plain = draw(st.none() | part)
+        return plain, draw(part if plain is None else st.none() | part)
+
+    keys = draw(st.lists(exps, min_size=1, max_size=2, unique=True))
+    n = draw(st.integers(0, 12) | st.integers(0, p**3))
+    return p, ("x", "alpha")[:nvars], bounds, tuple((e, coeff()) for e in keys), n
+
+
+def _per_j_ladder(f, n):
+    """f^n for one or two terms a*x^e + b*x^f, a fresh `binary_power` ladder
+    for each a^(n-j) and b^j of the binomial theorem, kept where the
+    exponent lies inside the bounds."""
+    one = CoeffV3.one(f.p, series_precision(f))
+    (e, a), *rest = f.terms.items()
+    g, b = rest[0] if rest else (e, one)
+    terms = []
+    for j in range(n + 1 if rest else 1):
+        exp = tuple((n - j) * u + j * w for u, w in zip(e, g))
+        if all(map(operator.lt, exp, f.bounds)):
+            c = binary_power(a, n - j, one, operator.mul)
+            if j:
+                c = c * binary_power(b, j, one, operator.mul)
+            k = math.comb(n, j)
+            terms.append((exp, c if k == 1 else c.mul_int(k)))
+    return TruncatedSeries.from_terms(f.p, f.vars, f.bounds, terms)
+
+
+def _digits(f):
+    """The terms of f in order, each part as (valuation, unit, prec, zero
+    flag): `==` compares at the lower precision and would hide a lost digit."""
+    return f.vars, f.bounds, [
+        (e, [(s.valuation, s.unit, s.prec, s.is_zero_flag) for s in (c.plain, c.v3part)])
+        for e, c in f.terms.items()
+    ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(short_powers())
+# f = (5^2*8 + 23 v3) + (5^2*4 + 5*13 v3) x at 2 digits: pow(55) claims a wrong
+# v3 digit at x^30 (ROADMAP item 9), and so did the ladder per j
+@example((5, ("x",), (56,), (((0,), ((2, 8, 2), (0, 23, 2))), ((1,), ((2, 4, 2), (1, 13, 2)))), 55))
+@example((3, ("x",), (28,), (((0,), ((0, 1, 8), None)), ((1,), ((0, 1, 8), (-1, 1, 8)))), 27))  # (1 + (1 + v3/p) x)^(p^3)
+@example((7, ("x", "alpha"), (15, 344), (((1, 0), ((0, 3, 8), None)), ((0, 1), ((0, 2, 8), None))), 343))  # v3-free
+def test_pow_matches_per_j_ladder(case):
+    p, vars, bounds, terms, n = case
+
+    def scalar(part):
+        return PAdicScalar.zero(p) if part is None else _scalar(p, part[:2], part[2])
+
+    f = TruncatedSeries(vars, bounds, {e: CoeffV3(scalar(a), scalar(b)) for e, (a, b) in terms}, p)
+    assert _digits(f.pow(n)) == _digits(_per_j_ladder(f, n))
+
+
+def test_substitute_takes_each_step_power_once(monkeypatch):
+    vars, bounds = ("y", "alpha"), (12, 8)
+    y, a = (TruncatedSeries.variable(P, v, vars, bounds, K) for v in vars)
+    g = y + a * y.pow(2)
+    slots = {k: const(k + 1, vars, bounds) for k in range(6)} | {7: a, 9: a.mul_int(2)}
+    f = TruncatedSeries.zero(P, vars, bounds)
+    want = TruncatedSeries.zero(P, vars, bounds)
+    for k, c in slots.items():
+        f = f + c * y.pow(k)
+        want = want + c * binary_power(g, k, TruncatedSeries.one(P, vars, bounds, K), operator.mul)
+    calls = []
+    pow_ = TruncatedSeries.pow
+
+    def counting_pow(s, n):
+        calls.append(n)
+        return pow_(s, n)
+
+    monkeypatch.setattr(TruncatedSeries, "pow", counting_pow)
+    # slots 0..5 step by g^1, slots 7 and 9 by g^2: one power of each
+    assert _substitute_plain(f, "y", g) == want
+    assert calls == [1, 2]
 
 
 def test_ring_operations_reject_different_variable_tuples():
