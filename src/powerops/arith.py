@@ -13,12 +13,14 @@ Products of several terms run on monomials packed into ints: `_pack` once,
 giving each variable a field as wide as its own exponent bound, then a chain
 of `_packed_mul` (a Frobenius is the key times p), so no tuple is built for a
 term that is multiplied again.  `poly_mul` and `poly_pow` decode the result
-by `_unpack`; `_product` hands it out undecoded as a `PackedPoly`, a
-read-only mapping that is decoded on its first read and compared on its int
-keys against a value of the same layout.
+by `_unpack`, one pass over each key; `_product` hands it out undecoded as
+a `PackedPoly`, a read-only mapping that is decoded on its first read and
+compared on its int keys against a value of the same layout.
 `cartan` takes the operation one index at a time, ``q(f, a)`` = Q^a f, asks
 for it only at the indices its sum can reach, and carries a product of
-one-term sides as one (monomial, coefficient) pair with no dict (`_times`)."""
+one-term sides as one (monomial, coefficient) pair with no dict (`_times`).
+It walks the sum in one loop over an explicit stack, so its own depth on
+the caller's stack is fixed."""
 
 from __future__ import annotations
 
@@ -192,35 +194,19 @@ def _packed_mul(a: dict[int, int], b: dict[int, int], p: int) -> dict[int, int]:
 
 
 def _unpack(a: dict[int, int], fields: Sequence[tuple[Hashable, int, int]], q: int = 1) -> Poly:
-    """The packed a as a Poly, every exponent times q.  Each part of a key cut
-    after a quarter of its fields is decoded once: b_i has weight i, so the low
-    fields vary most (the 10 471 keys of identity 4 at p = 7 have 1 997 and 525).
-    A low part of one field is not cut off, as its table would cost as much
-    as decoding it."""
-    h = len(fields) // 4
-    if h < 2:
-        h = 0
-    lows, highs = fields[:h], fields[h:]
-    cut = sum([w for _, w, _ in lows])
-    low_mask = (1 << cut) - 1
-    pairs: dict[tuple[Hashable, int], tuple[Hashable, int]] = {}  # one tuple per (variable, exponent)
-
-    def decode(bits: int, fs: Sequence[tuple[Hashable, int, int]]) -> Monomial:
+    """The packed a as a Poly, every exponent times q, in the order of its
+    keys; each key is decoded field by field, and every (variable, exponent)
+    pair is one shared tuple."""
+    pairs: dict[tuple[Hashable, int], tuple[Hashable, int]] = {}
+    out = {}
+    for k, c in a.items():
         mono = []
-        for v, w, mask in fs:
-            if e := bits & mask:
+        for v, w, mask in fields:
+            if e := k & mask:
                 pair = (v, e * q)
                 mono.append(pairs.setdefault(pair, pair))
-            bits >>= w
-        return tuple(mono)
-
-    low, high, out = {0: ()}, {0: ()}, {}  # decoded parts by bits, and the result
-    for k, c in a.items():
-        if (lo := low.get(bits := k & low_mask)) is None:
-            lo = low[bits] = decode(bits, lows)
-        if (hi := high.get(bits := k >> cut)) is None:
-            hi = high[bits] = decode(bits, highs)
-        out[lo + hi] = c
+            k >>= w
+        out[tuple(mono)] = c
     return out
 
 
@@ -330,7 +316,12 @@ def cartan(
     multisets of d indices of d!/prod c_a! times the product of the T_a; the
     weight is never 0 mod p.  The blocks are combined toward exactly s,
     memoized on (block, remaining degree), and only index sums that can
-    still reach s are formed.
+    still reach s are formed.  Nothing in the walk recurses: one loop runs
+    a stack of walks, one per (block, remaining degree) not yet in the
+    memo, each with its pending picks; a pick that completes its block
+    before the tail after it is known puts the tail's walk on top and is
+    retried once the tail is summed, so every product reaches the sum in
+    depth-first order.
 
     Q^a f is asked for only at the indices a pick can reach.  Each block
     keeps the sorted nonzero indices found so far and extends them one index
@@ -356,6 +347,8 @@ def cartan(
         least[j] = least[j + 1] + qi * d * floor
     if least[0] > s:
         return {}
+    if not blocks:
+        return {(): 1} if s == 0 else {}
     twisted: dict[tuple[int, int], Poly] = {}  # (block, a): Q^(a p^i) f^(p^i)
     found: list[list[tuple[int, Poly]]] = [[] for _ in blocks]  # per block: sorted nonzero (a p^i, term)
     scanned = [floor for *_, floor in blocks]  # per block: the next a to ask for
@@ -378,57 +371,55 @@ def cartan(
                 return True
         return False
 
-    memo: dict[tuple[int, int], Poly] = {}
+    memo: dict[tuple[int, int], Poly] = {}  # (block j, rem): t^rem of the product of blocks[j:]
     last = len(blocks) - 1
-
-    def rest(j: int, rem: int) -> Poly:
-        """The t^rem coefficient of the product of blocks[j:]."""
-        if j > last:
-            return {(): 1} if rem == 0 else {}
-        key = (j, rem)
-        if key in memo:
-            return memo[key]
+    one: Terms = (((), 1),)
+    # walks (j, rem, acc, picks), innermost last.  A pick (k, n, start, left,
+    # prod, weight, run) has placed k indices, the last at terms[start] (run
+    # copies of it), has `left` still to place in this block and the ones
+    # after it, and takes terms[n] next
+    stack = [(0, s, {}, [(0, 0, 0, s, one, 1, 0)])]
+    while stack:
+        j, rem, acc, picks = stack[-1]
         _, qi, d, _ = blocks[j]
-        terms = found[j]
-        acc: Poly = {}
-
-        def pick(k: int, start: int, left: int, prod: Terms, weight: int, run: int) -> None:
-            # k indices picked, the last at terms[start] (run copies of it),
-            # and `left` still to place in this block and the ones after it
-            if j == last and k == d - 1:
+        terms, later = found[j], least[j + 1]
+        solved = d - 1 if j == last else -1
+        while picks:
+            k, n, start, left, prod, weight, run = picks.pop()
+            if k == solved:
                 # the last index of all is what is left; the room each
                 # earlier pick left keeps it at or above the one before
                 if left % qi or not (t := op(j, left // qi)):
-                    return
+                    continue
                 w = weight * (k + 1) // (run + 1 if k and left == terms[start][0] else 1)
                 for m, v in _times(prod, t, p):
                     acc[m] = acc.get(m, 0) + w * v
-                return
+                continue
             # one copy may take at most an even share of what the later
             # copies and blocks leave over
-            room = (left - least[j + 1]) // (d - k)
-            n = start
-            while n < len(terms) or extend(j, room):
-                a, t = terms[n]
-                if a > room:
-                    break
-                c = run + 1 if n == start else 1
-                w = weight * (k + 1) // c  # d!/prod c_a!, one pick at a time
-                if k + 1 < d:
-                    pick(k + 1, n, left - a, _times(prod, t, p), w, c)
-                elif tail := rest(j + 1, left - a):
+            room = (left - later) // (d - k)
+            if not (n < len(terms) or extend(j, room)):
+                continue
+            a, t = terms[n]
+            if a > room:
+                continue
+            c = run + 1 if n == start else 1
+            w = weight * (k + 1) // c  # d!/prod c_a!, one pick at a time
+            if k + 1 < d:
+                picks.append((k, n + 1, start, left, prod, weight, run))
+                picks.append((k + 1, n, n, left - a, _times(prod, t, p), w, c))
+            elif (tail := memo.get((j + 1, left - a))) is None:
+                # the block is complete but its tail is not summed yet: sum
+                # the tail first, then take this pick again
+                picks.append((k, n, start, left, prod, weight, run))
+                stack.append((j + 1, left - a, {}, [(0, 0, 0, left - a, one, 1, 0)]))
+                break
+            else:
+                picks.append((k, n + 1, start, left, prod, weight, run))
+                if tail:
                     for m, v in _times(_times(prod, t, p), tail, p):
                         acc[m] = acc.get(m, 0) + w * v
-                n += 1
-
-        pick(0, 0, rem, (((), 1),), 1, 0)
-        # pick and rest call themselves through their own closure cells, a
-        # cycle that would keep them and every memo alive until the cycle
-        # collector ran; emptying the cell after the walk frees them at once
-        pick = None
-        memo[key] = {m: r for m, c in acc.items() if (r := c % p)}
-        return memo[key]
-
-    out = rest(0, s)
-    rest = None  # the cycle through rest's cell, as for pick above
-    return out
+        else:
+            memo[j, rem] = {m: r for m, c in acc.items() if (r := c % p)}
+            stack.pop()
+    return memo[0, s]

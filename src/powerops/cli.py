@@ -16,7 +16,7 @@ from .arith import prime_factors
 from .fgl import FormalGroupLaw
 from .scalar import DEFAULT_PRECISION
 
-MAX_PRIME = 31
+MAX_PRIME = 37
 
 
 def _check_prime(p: int) -> int:

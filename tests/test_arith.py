@@ -1,5 +1,5 @@
 import math
-from functools import reduce
+from functools import cache, reduce
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -208,6 +208,48 @@ def test_cartan_asks_only_for_reachable_indices(pfs, s):
         assert calls.count((f, a)) <= sum(a <= cap for cap in caps[f])
     if len(factors) == 1 and factors[0][1] == 1 and s >= factors[0][2]:
         assert calls == [(factors[0][0], s)]
+
+
+# the walk's order, which `==` on dicts and the caps above do not see: the
+# terms in insertion order and every q(f, a) in the order asked, for
+# SPARSE_FROBENIUS at s = 11, and the terms of the relation's top term
+# Q^(p^3+p)((x^(p-1))^p Q^p x) at p = 3; residuals keep this term order
+SPARSE_FROBENIUS_11 = (
+    [
+        (((1, 2), (2, 7)), 2),
+        (((1, 6), (2, 1)), 1),
+        (((1, 5), (2, 2)), 1),
+        (((1, 4), (2, 3)), 1),
+        (((1, 4), (2, 4)), 1),
+        (((1, 3), (2, 5)), 2),
+    ],
+    [
+        (0, 1), (0, 1), (1, 0), (1, 6), (1, 1), (1, 2), (1, 4), (1, 3),
+        (0, 2), (0, 3), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7),
+    ],
+)
+RELATION_TOP_3 = [
+    (((((), "x"), 18), (((15, 6), "x"), 1)), 1),
+    (((((), "x"), 9), (((3,), "x"), 3), (((13, 5), "x"), 1)), 2),
+    (((((), "x"), 9), (((4,), "x"), 3), (((11, 4), "x"), 1)), 2),
+    (((((), "x"), 9), (((5,), "x"), 3), (((9, 3), "x"), 1)), 2),
+    (((((3,), "x"), 6), (((11, 4), "x"), 1)), 1),
+    (((((3,), "x"), 3), (((4,), "x"), 3), (((9, 3), "x"), 1)), 2),
+]
+
+
+def test_cartan_walk_order(monkeypatch):
+    p, factors, series = SPARSE_FROBENIUS
+    calls = []
+
+    def q(f, a):
+        calls.append((f, a))
+        return series[f].get(a, {})
+
+    assert (list(cartan(11, factors, q, p).items()), calls) == SPARSE_FROBENIUS_11
+    # a fresh algebra, so that every Q on the way is asked of the walk
+    monkeypatch.setattr(dl, "free_algebra", cache(dl.free_algebra.__wrapped__))
+    assert list(dl.RelationSpec.for_prime(3).xp1p_qpx.q(30).terms.items()) == RELATION_TOP_3
 
 
 # exponents at and around the edges of a bit field

@@ -60,8 +60,8 @@ def test_solve_sigma_output():
 
 
 def test_bad_prime_is_config_error():
-    # 37 is prime but past the largest supported prime, 31
-    for bad in ("4", "2", "37", "9"):
+    # 41 is prime but past the largest supported prime, 37
+    for bad in ("4", "2", "41", "9"):
         proc = run_cli(["verify", "--p", bad, "--suite", "powerop"])
         assert proc.returncode == 2
         assert "--p" in proc.stderr and bad in proc.stderr

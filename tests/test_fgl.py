@@ -113,7 +113,7 @@ def _items(f):
     ])
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
 def test_angle_p_closed_form_equals_division_of_p_series(p):
     # item for item, digits and order included, against [p](alpha) / alpha
     # with [p] = exp(p log) built generically

@@ -162,13 +162,13 @@ def test_q_on_product_matches_dl_engine(p):
     assert not wrong
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
 def test_stdl_all_identities(p):
     rep = verify_stdl(p)
     assert rep.passed, [c.name for c in rep.checks if not c.passed]
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
 def test_mudl_all_identities(p):
     rep = verify_mudl(p, seed=0)
     assert rep.passed, [c.name for c in rep.checks if not c.passed]
@@ -198,7 +198,7 @@ def test_mudl_builds_no_field(monkeypatch):
         init(self, p, e)
 
     monkeypatch.setattr(GaloisField, "__init__", counting_init)
-    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         rep = verify_mudl(p)
         assert rep.passed
         assert {c.name: c.method for c in rep.checks}["q_on_power_top"] == f"sampled(64, F_{p}^4)"

@@ -228,7 +228,7 @@ def _k_by_substitution(g, chi):
     return _lift(_divide_by_unit_series(subbed, chi3, 2), ("y", "alpha"), (xb, ab))
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
 def test_euler_class_equals_product_of_root_series(p):
     # the product of the [w^i](alpha) is the oracle of the closed-form chi
     for prec in (2, 3, 5, 8, 12):
@@ -242,7 +242,7 @@ def test_euler_class_equals_product_of_root_series(p):
 
 @pytest.mark.parametrize(
     "p, precs",
-    [(p, (2, 3, 5, 8, 12)) for p in (3, 5, 7, 11, 13)] + [(p, (2, 8)) for p in (17, 19, 23, 29, 31)],
+    [(p, (2, 3, 5, 8, 12)) for p in (3, 5, 7, 11, 13)] + [(p, (2, 8)) for p in (17, 19, 23, 29, 31, 37)],
 )
 def test_k_series_equals_substitution(p, precs):
     # item for item, digits and order included: downstream p-adic sums
@@ -351,7 +351,7 @@ def test_h_polynomial_unit_case():
     assert h == one
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
 def test_power_operation_values(p):
     F = FormalGroupLaw.v3_truncated(p, K)
     for i in (2, p):
@@ -406,7 +406,7 @@ def test_power_operation_rejects_one_digit():
     assert power_operation_value(FormalGroupLaw.v3_truncated(3, 2), 2).value.v3 == {22: 1}
 
 
-@pytest.mark.parametrize("p", [11, 13, 17, 19, 23, 29, 31])
+@pytest.mark.parametrize("p", [11, 13, 17, 19, 23, 29, 31, 37])
 def test_precision_stability_large_primes(p):
     # the engine's own K = 8 vs K = 12 check, and the closed-form g oracle
     checks = {c.name: c.status for c in reports.suite_properties(p).checks}
