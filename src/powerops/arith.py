@@ -1,7 +1,7 @@
-"""The loops the package shares: square-and-multiply powering, the distinct
-prime factors of a small integer, binomial coefficients mod p, sparse
-polynomials over F_p, and the Cartan formula for power operations on a
-product.
+"""What the package's two halves share: the base of the immutable value
+types, square-and-multiply powering, the distinct prime factors of a small
+integer, binomial coefficients mod p, sparse polynomials over F_p, and the
+Cartan formula for power operations on a product.
 
 A sparse polynomial is a ``{monomial: coefficient}`` dict.  A monomial is a
 tuple of ``(variable, exponent)`` pairs sorted by variable; the empty tuple
@@ -27,9 +27,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Mapping
+from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 __all__ = [
+    "Immutable",
     "binary_power",
     "prime_factors",
     "binom_mod",
@@ -46,6 +48,28 @@ T = TypeVar("T")
 Monomial = tuple[tuple[Hashable, int], ...]
 Poly = dict[Monomial, int]
 Terms = Sequence[tuple[Monomial, int]]  # a polynomial's (monomial, coefficient) pairs
+
+
+class Immutable:
+    """Base of the slotted value types: assignment and deletion raise
+    AttributeError, and two values are equal when they are of the same class
+    and their ``__slots__`` fields are equal in order.  Like any class that
+    defines ``__eq__``, a value type is unhashable.  A subclass's ``__init__``
+    writes its fields through the slot descriptors (``Cls.field.__set__``)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = attrgetter(*self.__slots__)
+        return fields(self) == fields(other)
 
 
 def binary_power(base: T, n: int, one: T, mul: Callable[[T, T], T]) -> T:

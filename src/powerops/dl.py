@@ -217,8 +217,6 @@ class DLPolynomial:
             return NotImplemented
         return self.terms == other.terms
 
-    __hash__ = None
-
     def degrees(self) -> set[int]:
         return {self.algebra.monomial_degree(m) for m in self.terms}
 

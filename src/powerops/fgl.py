@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .scalar import DEFAULT_PRECISION, CoeffV3, Immutable, PAdicScalar, primitive_teichmuller_root
+from .arith import Immutable
+from .scalar import DEFAULT_PRECISION, CoeffV3, PAdicScalar, primitive_teichmuller_root
 from .series import TruncatedSeries
 
 __all__ = ["Logarithm", "FormalGroupLaw"]
@@ -54,13 +55,6 @@ class Logarithm(Immutable):
         _set_log_p(self, p)
         _set_log_prec(self, prec)
         _set_log_coeffs(self, MappingProxyType(dict(coeffs)))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.prec, self.coeffs) == (other.p, other.prec, other.coeffs)
-
-    __hash__ = None
 
     @classmethod
     def additive(cls, p: int, prec: int = DEFAULT_PRECISION) -> "Logarithm":
@@ -107,13 +101,6 @@ class FormalGroupLaw(Immutable):
     def __init__(self, log: Logarithm, omega: PAdicScalar):
         _set_law_log(self, log)
         _set_law_omega(self, omega)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.log, self.omega) == (other.log, other.omega)
-
-    __hash__ = None
 
     @property
     def p(self) -> int:

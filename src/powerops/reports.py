@@ -59,12 +59,13 @@ class SuiteReport:
     """One suite's checks.  `precision` is the digit count every check added
     afterwards records; it is None unless the suite works at a precision."""
 
-    __slots__ = ("suite", "prime", "checks", "precision")
+    __slots__ = ("suite", "prime", "checks", "precision", "_since")
 
     def __init__(self, suite: str, prime: int, checks: list[Check] | None = None):
         self.suite, self.prime = suite, prime
         self.checks = [] if checks is None else checks
         self.precision: int | None = None
+        self._since = time.perf_counter()
 
     @property
     def overall(self) -> str:
@@ -79,21 +80,14 @@ class SuiteReport:
         }
         return d
 
-    def add(
-        self,
-        name: str,
-        passed: bool,
-        expected: str = "",
-        actual: str = "",
-        t0: float | None = None,
-        ms: float = 0.0,
-    ) -> None:
-        """Record a check; its time is measured from t0 when that is given,
-        else it is `ms`."""
-        if t0 is not None:
-            ms = (time.perf_counter() - t0) * 1000
-        status = "pass" if passed else "fail"
-        self.checks.append(Check(name, status, expected, actual, self.precision, round(ms, 3)))
+    def add(self, name: str, passed: bool, expected: str = "", actual: str = "") -> None:
+        """Record a check, charged with the time since the previous one (or
+        since the report was made): each check is computed just before it is
+        added."""
+        now = time.perf_counter()
+        ms = round((now - self._since) * 1000, 3)
+        self.checks.append(Check(name, "pass" if passed else "fail", expected, actual, self.precision, ms))
+        self._since = now
 
 
 # ---------------------------------------------------------------------------
@@ -114,22 +108,19 @@ def suite_powerop(p: int, precision: int = DEFAULT_PRECISION) -> SuiteReport:
     rep.precision = precision
     F = FormalGroupLaw.v3_truncated(p, precision)
 
-    t0 = time.perf_counter()
     roots = (F.scalar_series(F.omega**i, "alpha") for i in range(1, p))  # the oracle of chi
     product = math.prod(roots, start=TruncatedSeries.one(p, ("alpha",), (p**3 + p,), precision))
-    rep.add("euler_class", product == F.euler_class(), "-alpha^(p-1)", repr(product), t0)
+    rep.add("euler_class", product == F.euler_class(), "-alpha^(p-1)", repr(product))
 
-    t0 = time.perf_counter()
     generic = divide_by_alpha_power(F.p_series("alpha"), 1)  # the oracle of <p>
     want = "p - (p^(p^3-1)-1) v3 alpha^(p^3-1)"
-    rep.add("angle_p_series", generic == F.angle_p_series(), want, repr(generic), t0)
+    rep.add("angle_p_series", generic == F.angle_p_series(), want, repr(generic))
 
     for i in (2, p):
-        t0 = time.perf_counter()
         res = powerop.power_operation_value(F, i)
         got = res.value.render()
         want = _expected_value_string(p, i)
-        rep.add(f"value_i{i}", got == want, want, got, t0)
+        rep.add(f"value_i{i}", got == want, want, got)
         k = p * p + p - 1 if i == 2 else p * p + 1
         c = powerop.sigma_dl_coefficient(res, k)
         witness = c.v3part.residue() if not c.v3part.is_zero() else 0
@@ -145,10 +136,11 @@ def suite_powerop(p: int, precision: int = DEFAULT_PRECISION) -> SuiteReport:
 
 def _proposition_suite(name: str, p: int, result: mu_homology.PropositionReport) -> SuiteReport:
     """A suite report of the Newton-class identities, each with its own time."""
-    rep = SuiteReport(name, p)
-    for c in result.checks:
-        rep.add(c.name, c.passed, "0", c.method, ms=c.elapsed_ms)
-    return rep
+    checks = [
+        Check(c.name, "pass" if c.passed else "fail", "0", c.method, elapsed_ms=round(c.elapsed_ms, 3))
+        for c in result.checks
+    ]
+    return SuiteReport(name, p, checks)
 
 
 def suite_stdl(p: int) -> SuiteReport:
@@ -168,21 +160,19 @@ def suite_relation(p: int) -> SuiteReport:
         f"{2 * (p * p + 2)}",
         f"{threshold}",
     )
+    definedness = dl.op_definedness(threshold, p**3 + p, 2 * (p - 1) * (p**2 + 1))
     rep.add(
         "top_operation_definedness",
-        dl.op_definedness(threshold, p**3 + p, 2 * (p - 1) * (p**2 + 1))
-        == "defined_with_properties",
+        definedness == "defined_with_properties",
         "defined_with_properties",
-        dl.op_definedness(threshold, p**3 + p, 2 * (p - 1) * (p**2 + 1)),
+        definedness,
     )
-    t0 = time.perf_counter()
     result = dl.verify_relation(p)
     rep.add(
         "grand_relation",
         result.residual.is_zero(),
         "0",
         "0" if result.residual.is_zero() else "; ".join(result.residual.monomials()[:4]),
-        t0,
     )
     for name, ok in result.identities.items():
         rep.add(f"identity_{name}", ok, "holds", "holds" if ok else "fails")
@@ -191,14 +181,12 @@ def suite_relation(p: int) -> SuiteReport:
 
 def suite_sigma(p: int) -> SuiteReport:
     rep = SuiteReport("sigma", p)
-    t0 = time.perf_counter()
     sol = dl.solve_sigma(p)
     rep.add(
         "solved",
         sol.kernel_dimension == 0,
         "unique solution",
         f"sigma = {sol.sigmas}, kernel dim {sol.kernel_dimension}",
-        t0,
     )
     rep.add("substitution_residual", sol.residual.is_zero(), "0", repr(sol.residual)[:80])
     return rep
@@ -206,14 +194,12 @@ def suite_sigma(p: int) -> SuiteReport:
 
 def suite_factorization(p: int) -> SuiteReport:
     rep = SuiteReport("factorization", p)
-    t0 = time.perf_counter()
     result = dl.verify_factorization(p)
     rep.add(
         "mu_R_equals_Qbar_nu_plus_beta_alpha",
         result.passed,
         "0",
         "0" if result.passed else repr(result.residual)[:120],
-        t0,
     )
     return rep
 
@@ -235,12 +221,10 @@ def suite_properties(p: int, precision: int = DEFAULT_PRECISION, seed: int = 0) 
     rep = SuiteReport("properties", p)
     rep.precision = precision
 
-    t0 = time.perf_counter()
     w = primitive_teichmuller_root(p, precision)
     one = PAdicScalar.from_int(p, 1, precision)
-    rep.add("teichmuller_root_of_unity", w ** (p - 1) == one, "w^(p-1) = 1", "", t0)
+    rep.add("teichmuller_root_of_unity", w ** (p - 1) == one, "w^(p-1) = 1", "")
 
-    t0 = time.perf_counter()
     F = FormalGroupLaw.v3_truncated(p, precision)
     vars3, bounds3 = ("x", "y", "z"), (5, 5, 5)
     x = TruncatedSeries.variable(p, "x", vars3, bounds3, precision)
@@ -248,11 +232,10 @@ def suite_properties(p: int, precision: int = DEFAULT_PRECISION, seed: int = 0) 
     z = TruncatedSeries.variable(p, "z", vars3, bounds3, precision)
     lhs = F.formal_sum(F.formal_sum(x, y), z)
     rhs = F.formal_sum(x, F.formal_sum(y, z))
-    rep.add("fgl_associativity", lhs == rhs, "F(F(x,y),z) = F(x,F(y,z))", "", t0)
+    rep.add("fgl_associativity", lhs == rhs, "F(F(x,y),z) = F(x,F(y,z))", "")
     rep.add("fgl_commutativity", F.formal_sum(x, y) == F.formal_sum(y, x), "F(x,y) = F(y,x)", "")
 
     # the closed-form exponential against a generic reversion of the logarithm
-    t0 = time.perf_counter()
     zb = p**3 + p
     zv = TruncatedSeries.variable(p, "z", ("z",), (zb,), precision)
     reverted = lagrange_invert(F.log.series(zv), "z")
@@ -261,13 +244,11 @@ def suite_properties(p: int, precision: int = DEFAULT_PRECISION, seed: int = 0) 
         F.exp_of(zv) == F.log.inverse_series("z", ("z",), (zb,)) == reverted,
         "exp(z) = log^(-1)(z) by Lagrange inversion",
         "",
-        t0,
     )
 
     # the closed-form g stage against the generic product of formal sums;
     # that product agrees from K = 2 at p = 3 and K = 3 at p = 5, 7, 11 (below,
     # scalar addition cancels v3 terms to an exact 0), so it runs at K >= 8
-    t0 = time.perf_counter()
     Fg = FormalGroupLaw.v3_truncated(p, max(precision, DEFAULT_PRECISION))
     # x bound 2p+1 keeps the j = 1 and j = p terms; the pipeline's p^2 costs 7.4 s at p = 11
     gb = (2 * p + 1, p**3 + p)
@@ -276,10 +257,8 @@ def suite_properties(p: int, precision: int = DEFAULT_PRECISION, seed: int = 0) 
         powerop.g_series(Fg, *gb) == powerop._g_by_formal_sums(Fg, *gb),
         "closed-form g = x * prod_i (x +_F [w^i](alpha)) by formal sums",
         "",
-        t0,
     )
 
-    t0 = time.perf_counter()
     vars2, bounds2 = ("y", "alpha"), (10, 8)
     k = TruncatedSeries.variable(p, "y", vars2, bounds2, precision)
     a = TruncatedSeries.variable(p, "alpha", vars2, bounds2, precision)
@@ -293,9 +272,8 @@ def suite_properties(p: int, precision: int = DEFAULT_PRECISION, seed: int = 0) 
     kinv = lagrange_invert(k, "y")
     rt = k.substitute("y", kinv)
     yvar = TruncatedSeries.variable(p, "y", vars2, bounds2, precision)
-    rep.add("lagrange_round_trip", rt == yvar, "k(k^(-1)(y)) = y", "", t0)
+    rep.add("lagrange_round_trip", rt == yvar, "k(k^(-1)(y)) = y", "")
 
-    t0 = time.perf_counter()
     f = TruncatedSeries.from_terms(
         p,
         ("alpha",),
@@ -307,9 +285,8 @@ def suite_properties(p: int, precision: int = DEFAULT_PRECISION, seed: int = 0) 
     )
     n1 = quotient_normalize(f)
     again = quotient_normalize(_normal_form_as_series(n1, p))
-    rep.add("quotient_normalize_idempotent", n1 == again, "N(N(f)) = N(f)", "", t0)
+    rep.add("quotient_normalize_idempotent", n1 == again, "N(N(f)) = N(f)", "")
 
-    t0 = time.perf_counter()
     A = dl.DLAlgebra(p, {"x": 2 * (p - 1)})
     word = (p**2 + p, p)
     norm1 = A.adem_normalize(word, "x")
@@ -321,10 +298,8 @@ def suite_properties(p: int, precision: int = DEFAULT_PRECISION, seed: int = 0) 
         norm1 == renorm and degs <= {expected_deg},
         "stable normal form, degree preserved",
         "",
-        t0,
     )
 
-    t0 = time.perf_counter()
     # N_m^(p-1), the largest product below, has weight (p-1)m; past 42 it
     # grows fast (at p = 11: 0.25 s for m = 6, 2.6 s for m = 7, 2 CPUs), so
     # the cap bites only at p >= 11
@@ -332,16 +307,15 @@ def suite_properties(p: int, precision: int = DEFAULT_PRECISION, seed: int = 0) 
     lhs = mu_homology.newton_expand(p * m, "b", p)
     # plain repeated multiplication, not the Frobenius shortcut newton_expand takes
     rhs = binary_power(mu_homology.newton_expand(m, "b", p), p, {(): 1}, lambda u, v: poly_mul(u, v, p))
-    rep.add("newton_frobenius", lhs == rhs, "N_(pm) = N_m^p", f"m={m}", t0)
+    rep.add("newton_frobenius", lhs == rhs, "N_(pm) = N_m^p", f"m={m}")
 
-    t0 = time.perf_counter()
     stable = True
     for i in (2, p):
         lo = powerop.power_operation_value(FormalGroupLaw.v3_truncated(p, 8), i).value
         hi = powerop.power_operation_value(FormalGroupLaw.v3_truncated(p, 12), i).value
         if not (lo.plain == hi.plain and lo.v3 == hi.v3):
             stable = False
-    rep.add("precision_stability_K8_vs_K12", stable, "identical normal forms", "", t0)
+    rep.add("precision_stability_K8_vs_K12", stable, "identical normal forms", "")
     return rep
 
 

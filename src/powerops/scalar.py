@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import operator
 
-from .arith import binary_power, prime_factors
+from .arith import Immutable, binary_power, prime_factors
 
 __all__ = [
     "PAdicScalar",
@@ -44,20 +44,6 @@ def _valuation_of_int(n: int, p: int) -> int:
         v += 1
         n //= p
     return v
-
-
-class Immutable:
-    """Base of the slotted value types: assignment and deletion raise
-    AttributeError.  A subclass's ``__init__`` writes its fields through the
-    slot descriptors (``Cls.field.__set__``)."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
 
 class PAdicScalar(Immutable):
@@ -188,8 +174,6 @@ class PAdicScalar(Immutable):
             return False
         m = self.p ** min(self.prec, other.prec)
         return (self.unit - other.unit) % m == 0
-
-    __hash__ = None  # mutable-precision equality; not hashable
 
     # -- reductions --------------------------------------------------------
 
@@ -335,13 +319,6 @@ class CoeffV3(Immutable):
     def times_v3(self) -> "CoeffV3":
         """Multiplication by v3 (kills the existing v3 part)."""
         return CoeffV3(PAdicScalar.zero(self.p), self.plain)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CoeffV3):
-            return NotImplemented
-        return self.plain == other.plain and self.v3part == other.v3part
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         if self.is_zero():

@@ -38,8 +38,8 @@ from collections.abc import Callable, Iterable, Mapping
 from itertools import chain
 from operator import add, lt
 
-from .arith import binary_power
-from .scalar import DEFAULT_PRECISION, CoeffV3, Immutable, PAdicScalar
+from .arith import Immutable, binary_power
+from .scalar import DEFAULT_PRECISION, CoeffV3, PAdicScalar
 
 __all__ = [
     "TruncatedSeries",
@@ -66,18 +66,6 @@ class TruncatedSeries(Immutable):
         _set_bounds(self, bounds)
         _set_terms(self, terms)
         _set_p(self, p)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.vars, self.bounds, self.terms, self.p) == (
-            other.vars,
-            other.bounds,
-            other.terms,
-            other.p,
-        )
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -523,18 +511,6 @@ class QuotientNormalForm(Immutable):
         _set_form_constant(self, constant)
         _set_form_plain(self, plain)
         _set_form_v3(self, v3)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.constant, self.plain, self.v3) == (
-            other.p,
-            other.constant,
-            other.plain,
-            other.v3,
-        )
-
-    __hash__ = None  # plain and v3 are dicts
 
     def is_zero(self) -> bool:
         return self.constant.is_zero() and not self.plain and not self.v3

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,19 @@ def test_reports_deterministic_at_fixed_seed():
     r1 = reports.normalize_report(reports.run_suites(["mudl", "sigma"], 5, seed=3))
     r2 = reports.normalize_report(reports.run_suites(["mudl", "sigma"], 5, seed=3))
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", reports.SUITES + reports.EXTRA_SUITES)
+def test_check_times_add_up_to_at_most_the_suite(name):
+    # each check is charged with the time since the previous one, so the
+    # charges, each rounded to the nearest 0.001 ms, cover the suite at most once
+    t0 = time.perf_counter()
+    rep = reports.run_suite(name, 3)
+    wall_ms = (time.perf_counter() - t0) * 1000
+    assert sum(c.elapsed_ms for c in rep.checks) <= wall_ms + 0.0005 * len(rep.checks)
+    if name == "properties":
+        # two formal sums run inside its own check and nowhere else
+        assert {c.name: c.elapsed_ms for c in rep.checks}["fgl_commutativity"] > 0
 
 
 @pytest.mark.parametrize("p", [3, 5])

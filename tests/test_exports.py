@@ -3,7 +3,8 @@
 A name left in an ``__all__`` after its definition is deleted breaks
 ``from powerops.<module> import *`` at run time; a stale name in the
 package's own imports breaks ``import powerops``.  No linter runs on this
-code, so these tests are the check.
+code, so these tests are the check.  They also pin which modules each half
+of the engine may import.
 """
 
 import ast
@@ -53,3 +54,35 @@ def test_package_imports_name_existing_objects():
         source = importlib.import_module(f"powerops.{module}")
         assert hasattr(source, name), f"powerops.{module} has no {name}"
         assert getattr(powerops, name) is getattr(source, name)
+
+
+def _package_imports(name):
+    """The package modules that module `name` imports, anywhere in its body.
+    The package imports itself only relatively, so an absolute import of it
+    fails here rather than go uncounted."""
+    tree = ast.parse((Path(powerops.__file__).parent / f"{name}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            # `from .m import x` names m; `from . import m` names m itself
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            assert not any(n.split(".")[0] == "powerops" for n in names), (name, names)
+    return found
+
+
+@pytest.mark.parametrize(
+    "modules, allowed",
+    [
+        (("arith",), set()),
+        (("dl", "mu_homology", "finite_field"), {"arith", "finite_field"}),
+        (("scalar", "series", "fgl", "powerop"), {"arith", "scalar", "series", "fgl"}),
+    ],
+    ids=["shared", "modp", "padic"],
+)
+def test_halves_import_only_their_own_modules(modules, allowed):
+    # the mod-p half (Dyer-Lashof algebra, Newton classes) and the p-adic half
+    # (scalars, series, formal group law) share only `arith`
+    for name in modules:
+        assert _package_imports(name) <= allowed, name

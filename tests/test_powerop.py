@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from powerops import reports
+from powerops import cli, reports
+from powerops.arith import prime_factors
 from powerops.fgl import FormalGroupLaw, Logarithm
 from powerops.powerop import (
     _angle_quotient,
@@ -389,6 +390,17 @@ def test_degree_bookkeeping_and_general_coefficient():
         exp = p**3 - 1 - i * (p - 1)
         assert res.value.v3 == {exp: (-(math.comb(i * p, i) // p)) % p}
         assert res.value.plain == {}
+
+
+@pytest.mark.parametrize("p", [q for q in range(3, cli.MAX_PRIME + 1, 2) if prime_factors(q) == [q]])
+def test_power_operation_value_on_every_accepted_input(p):
+    # every (i, K) that `compute power-op --p p` accepts, at the least K and the default
+    for precision in (2, 8):
+        F = FormalGroupLaw.v3_truncated(p, precision)
+        for i in range(2, p + 1):
+            value = power_operation_value(F, i).value
+            want = {p**3 - 1 - i * (p - 1): (-(math.comb(i * p, i) // p)) % p}
+            assert (value.v3, value.plain, value.constant.is_zero()) == (want, {}, True), (i, precision)
 
 
 def test_power_operation_rejects_bad_index():

@@ -96,7 +96,9 @@ def _variants():
     coefficients of a logarithm carry its p)."""
     one, v3 = CoeffV3.one(P, K), CoeffV3.from_v3(PAdicScalar.from_int(P, 1, K))
     w = primitive_teichmuller_root(P, K)
+    two, three = PAdicScalar.from_int(P, 2, K), PAdicScalar.from_int(P, 3, K)
     return [
+        (CoeffV3, (two, three), (three, two)),
         (Logarithm, (P, K, {1: one, 2: v3}), (None, K + 1, {1: one, 3: v3})),
         (
             FormalGroupLaw,
@@ -112,7 +114,7 @@ def _variants():
     ]
 
 
-@pytest.mark.parametrize("cls, args, changed", _variants(), ids=VALUE_IDS)
+@pytest.mark.parametrize("cls, args, changed", _variants(), ids=["coeff", *VALUE_IDS])
 def test_value_equality_compares_every_field(cls, args, changed):
     assert cls(*args) == cls(*args)
     assert (cls(*args) == 0) is False
