@@ -17,8 +17,8 @@ handled through the total operation: Q_t(uv) = Q_t(u) Q_t(v) with Q_t(u^p)
 the p-th Frobenius twist of Q_t(u), which collapses the composition blowup
 for terms like Q^(p^3+p)((x^(p-1))^p Q^p x).
 
-The Adem convention above is pinned by the five straightening identities in
-`verify_relation`: any sign mismatch fails loudly there.
+The five straightening identities of `verify_relation` pin the Adem convention,
+and `solve_sigma` reads the sigma_i off admissible words, solving no system.
 """
 
 from __future__ import annotations
@@ -394,60 +394,24 @@ class SigmaSolution:
 
 
 def solve_sigma(p: int) -> SigmaSolution:
-    """Coefficients sigma_i with
+    """Coefficients sigma_i, 1 <= i <= p-2, with
 
         Q^(p^3+p) Q^(p^2-1) y = sum_i sigma_i Q^(p^3+p-(i+1)) Q^(p^2+i) y
                                 - Q^(p^3) Q^(p^2+p-1) y
 
-    on the degree-4(p-1) generator y, solved in the admissible basis and
-    verified by substitution."""
+    on y in degree 4(p-1), read off and verified by substitution.  Each w_i =
+    Q^(p^3+p-i-1) Q^(p^2+i) y is one admissible word, a distinct one for each
+    i, as 2(p^2+i) > 4(p-1), p^3+p-i-1 <= p(p^2+i) and the outer excess
+    2(p(p-1-i)+1) is positive; so sigma_i is the target's coefficient at w_i,
+    and the kernel dimension counts the w_i that are zero or repeat a word."""
     A = free_algebra(p)
     y = A.gen("y")
-    lhs = y.q(p * p - 1).q(p**3 + p)
-    shift = y.q(p * p + p - 1).q(p**3)
-    target = lhs + shift  # = sum_i sigma_i * w_i
+    target = y.q(p * p - 1).q(p**3 + p) + y.q(p * p + p - 1).q(p**3)
     w = [y.q(p * p + i).q(p**3 + p - (i + 1)) for i in range(1, p - 1)]
-
-    basis = sorted(set(target.terms) | {m for wi in w for m in wi.terms})
-    rows = len(basis)
-    cols = len(w)
-    mat = [[w[j].terms.get(basis[r], 0) % p for j in range(cols)] for r in range(rows)]
-    rhs = [target.terms.get(basis[r], 0) % p for r in range(rows)]
-    sol, kernel_dim = _solve_mod_p(mat, rhs, p)
-    if sol is None:
-        raise ArithmeticError("sigma system is inconsistent")
-    residual = target - A.sum(zip(w, sol))
-    return SigmaSolution(p, sol, residual, kernel_dim)
-
-
-def _solve_mod_p(
-    mat: list[list[int]], rhs: list[int], p: int
-) -> tuple[list[int] | None, int]:
-    """Gaussian elimination over F_p; returns (a solution or None, kernel dim)."""
-    rows, cols = len(mat), len(mat[0]) if mat else 0
-    m = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] % p), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [v * inv % p for v in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] % p:
-                f = m[i][c]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, rows):
-        if m[i][cols] % p:
-            return None, cols - len(pivots)
-    sol = [0] * cols
-    for i, c in enumerate(pivots):
-        sol[c] = m[i][cols]
-    return sol, cols - len(pivots)
+    words = [next(iter(wi.terms), None) for wi in w]
+    sigmas = [0 if m in words[:i] else target.terms.get(m, 0) for i, m in enumerate(words)]
+    residual = target - A.sum(zip(w, sigmas))
+    return SigmaSolution(p, sigmas, residual, len(w) - len(set(words) - {None}))
 
 
 class FactorizationReport:

@@ -151,6 +151,11 @@ def suite_mudl(p: int, seed: int = 0) -> SuiteReport:
     return _proposition_suite("mudl", p, mu_homology.verify_mudl(p, seed=seed))
 
 
+def _residual_text(r: dl.DLPolynomial) -> str:
+    """The term count and the first four monomials, each whole; "0" for zero."""
+    return f"{len(r.terms)} term(s): " + "; ".join(r.monomials()[:4]) if r.terms else "0"
+
+
 def suite_relation(p: int) -> SuiteReport:
     rep = SuiteReport("relation", p)
     threshold = dl.relation_en_threshold(p)
@@ -172,7 +177,7 @@ def suite_relation(p: int) -> SuiteReport:
         "grand_relation",
         result.residual.is_zero(),
         "0",
-        "0" if result.residual.is_zero() else "; ".join(result.residual.monomials()[:4]),
+        _residual_text(result.residual),
     )
     for name, ok in result.identities.items():
         rep.add(f"identity_{name}", ok, "holds", "holds" if ok else "fails")
@@ -188,7 +193,7 @@ def suite_sigma(p: int) -> SuiteReport:
         "unique solution",
         f"sigma = {sol.sigmas}, kernel dim {sol.kernel_dimension}",
     )
-    rep.add("substitution_residual", sol.residual.is_zero(), "0", repr(sol.residual)[:80])
+    rep.add("substitution_residual", sol.residual.is_zero(), "0", _residual_text(sol.residual))
     return rep
 
 
@@ -199,7 +204,7 @@ def suite_factorization(p: int) -> SuiteReport:
         "mu_R_equals_Qbar_nu_plus_beta_alpha",
         result.passed,
         "0",
-        "0" if result.passed else repr(result.residual)[:120],
+        _residual_text(result.residual),
     )
     return rep
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from powerops import cli, reports
+from powerops import cli, dl, reports
+from powerops.arith import prime_factors
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -163,6 +165,42 @@ def test_golden_reports(p):
     got = json.dumps(report, indent=2, sort_keys=True) + "\n"
     want = (GOLDEN / f"verify_p{p}.json").read_text()
     assert got == want
+
+
+# every accepted prime but 37, which adds about 3.6 s: there the relation and
+# factorization run in test_dl.py::test_relation_large_primes[37] and the
+# power-operation values in the value sweep of test_powerop.py
+@pytest.mark.parametrize("p", [p for p in range(3, 32, 2) if prime_factors(p) == [p]])
+def test_every_suite_passes_at_every_prime_to_31(p):
+    report = reports.run_suites(list(reports.SUITES + reports.EXTRA_SUITES), p)
+    failed = [(s["suite"], c["name"], c["actual"]) for s in report["suites"] for c in s["checks"] if c["status"] != "pass"]
+    assert failed == []
+
+
+def test_sigma_failure_is_a_failed_check(monkeypatch, capsys):
+    # a stray x^40, of the same degree, in Q^27 Q^11 y at p = 3 puts a target
+    # term outside every sigma word: the residual keeps it, whole in the
+    # report, and both routes exit 1 with no traceback
+    monkeypatch.setattr(dl, "free_algebra", functools.cache(dl.free_algebra.__wrapped__))
+    p = 3
+    A = dl.free_algebra(p)
+    shifted, stray = A.gen("y").q(p * p + p - 1), A.gen("x").pow(40)
+    q = dl.DLPolynomial.q
+
+    def q_with_stray(self, s):
+        out = q(self, s)
+        return out + stray if s == p**3 and self == shifted else out
+
+    monkeypatch.setattr(dl.DLPolynomial, "q", q_with_stray)
+    sol = dl.solve_sigma(p)
+    assert not sol.verified and sol.residual == stray
+    assert cli.main(["solve", "sigma", "--p", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert "NOT VERIFIED" in out and "Traceback" not in out + err
+    assert cli.main(["verify", "--p", "3", "--suite", "sigma"]) == 1
+    out, err = capsys.readouterr()
+    assert "substitution_residual  expected '0' got '1 term(s): (x)^40'" in out
+    assert "Traceback" not in out + err
 
 
 def test_suite_options_are_the_parameters_each_runner_reads():

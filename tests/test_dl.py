@@ -7,7 +7,8 @@ import weakref
 
 import pytest
 
-from powerops import dl
+from powerops import cli, dl
+from powerops.arith import prime_factors
 from powerops.dl import (
     DLAlgebra,
     DLPolynomial,
@@ -289,6 +290,20 @@ def test_solve_sigma(p):
     assert len(sol.sigmas) == p - 2
     assert sol.kernel_dimension == 0
     assert sol.residual.is_zero()
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, cli.MAX_PRIME + 1, 2) if prime_factors(p) == [p]])
+def test_sigma_basis_is_distinct_admissible_words(p):
+    # what `solve_sigma` reads sigma off: each w_i = Q^(p^3+p-i-1) Q^(p^2+i) y
+    # is one monomial with coefficient 1, no two are equal, and the target
+    # holds no monomial outside them
+    y = free_algebra(p).gen("y")
+    w = [y.q(p * p + i).q(p**3 + p - i - 1) for i in range(1, p - 1)]
+    assert all(list(wi.terms.values()) == [1] for wi in w)
+    words = [next(iter(wi.terms)) for wi in w]
+    assert len(set(words)) == p - 2
+    target = y.q(p * p - 1).q(p**3 + p) + y.q(p * p + p - 1).q(p**3)
+    assert set(target.terms) <= set(words)
 
 
 def test_c_i_ask_cartan_only_for_reachable_operations():
