@@ -3,6 +3,7 @@ intermediate series the final value is extracted from."""
 
 from powerops.fgl import FormalGroupLaw
 from powerops.powerop import (
+    STAGE_FORMULAS,
     f_coefficient,
     h_polynomial,
     power_operation_value,
@@ -33,7 +34,7 @@ print("== pipeline stages (x-degrees / y-degrees present) ==")
 for name in ("g", "k", "k_inverse"):
     series = getattr(trace, name)
     var = "x" if name == "g" else "y"
-    print(f"{name:10s} {trace.labels[name]}")
+    print(f"{name:10s} {STAGE_FORMULAS[name]}")
     print(f"{'':10s} {var}-degrees {sorted(degrees(series, var))[:8]} ...")
 
 print()

@@ -169,12 +169,10 @@ def k_series(g: TruncatedSeries, chi: TruncatedSeries) -> TruncatedSeries:
 
 
 class PipelineTrace:
-    """All intermediate series of one pipeline run, with formula labels
-    (a fresh copy of `STAGE_FORMULAS` unless `labels` is given)."""
+    """All intermediate series of one pipeline run; `STAGE_FORMULAS` labels
+    each stage."""
 
-    __slots__ = (
-        "p", "chi", "angle_p", "g", "k", "k_inverse", "ell_prime_term", "f_source", "f_n", "h_n", "labels"
-    )
+    __slots__ = ("p", "chi", "angle_p", "g", "k", "k_inverse", "ell_prime_term", "f_source", "f_n", "h_n")
 
     def __init__(
         self,
@@ -188,12 +186,10 @@ class PipelineTrace:
         f_source: TruncatedSeries,
         f_n: TruncatedSeries | None = None,
         h_n: TruncatedSeries | None = None,
-        labels: dict[str, str] | None = None,
     ):
         self.p, self.chi, self.angle_p, self.g, self.k = p, chi, angle_p, g, k
         self.k_inverse, self.ell_prime_term, self.f_source = k_inverse, ell_prime_term, f_source
         self.f_n, self.h_n = f_n, h_n
-        self.labels = dict(STAGE_FORMULAS) if labels is None else labels
 
 
 def run_pipeline(F: FormalGroupLaw, x_bound: int, alpha_bound: int) -> PipelineTrace:

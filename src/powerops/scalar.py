@@ -14,9 +14,7 @@ law, is a plain unit `PAdicScalar`.
 
 from __future__ import annotations
 
-import operator
-
-from .arith import Immutable, binary_power, prime_factors
+from .arith import Immutable, prime_factors
 
 __all__ = [
     "PAdicScalar",
@@ -157,8 +155,17 @@ class PAdicScalar(Immutable):
         return PAdicScalar(p, self.valuation + v, (self.unit * (n // p**v)) % p**prec, prec)
 
     def __pow__(self, n: int) -> "PAdicScalar":
-        one = PAdicScalar.from_int(self.p, 1, self.prec if not self.is_zero_flag else DEFAULT_PRECISION)
-        return binary_power(self, n, one, operator.mul)
+        """self^n in closed form: valuation n*v, unit^n mod p^prec, exact at
+        the precision of self.  0^0 is one at the default precision."""
+        if n < 0:
+            raise ValueError("negative power")
+        p = self.p
+        if self.is_zero_flag:
+            return self if n else PAdicScalar.from_int(p, 1)
+        prec = self.prec
+        if n and prec < 1:
+            raise _precision_loss(prec)
+        return PAdicScalar(p, n * self.valuation, pow(self.unit, n, p**prec), prec)
 
     # -- comparison --------------------------------------------------------
 
@@ -210,21 +217,17 @@ def teichmuller(residue: int, p: int, prec: int = DEFAULT_PRECISION) -> PAdicSca
     """Lift of a unit residue to the root of unity fixed by x -> x^p mod p^prec.
 
     The lift is a plain `PAdicScalar` w of valuation 0 with w^(p-1) = 1 to
-    the stored precision; its powers are `w ** i`.  Frobenius iteration
-    converges in at most `prec` steps.
+    the stored precision; its powers are `w ** i`.  It is residue^(p^(prec-1))
+    mod p^prec: the units mod p^prec are mu_(p-1) x (1 + pZ_p), and the
+    p^(prec-1)-th power kills the second factor while keeping the root of
+    unity with the same residue.  A precision below one digit raises
+    ValueError.
     """
     if residue % p == 0:
         raise ValueError("residue must be a unit mod p")
-    mod = p**prec
-    a = residue % mod
-    for _ in range(prec + 2):
-        b = pow(a, p, mod)
-        if b == a:
-            break
-        a = b
-    else:
-        raise ArithmeticError("Teichmuller iteration failed to stabilize")
-    return PAdicScalar(p, 0, a, prec)
+    if prec < 1:
+        raise ValueError(f"a Teichmuller lift needs at least one digit, got {prec}")
+    return PAdicScalar(p, 0, pow(residue, p ** (prec - 1), p**prec), prec)
 
 
 def _is_primitive_root(g: int, p: int) -> bool:

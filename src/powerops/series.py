@@ -10,6 +10,15 @@ drops zeros and cuts at the bounds; every per-coefficient operation goes
 through `_map`, which drops the zeros it makes.  Only `__mul__` keeps its
 own loop, because it is the hot path.
 
+A power of one or two terms a x^e + b x^f follows the binomial theorem,
+and each coefficient power is written down: v3^2 = 0 gives
+
+    (c0 + c1 v3)^m = c0^m + m c0^(m-1) c1 v3,
+
+and a p-adic power is one modular power, exact at its relative precision.
+So the only p-adic sum in such a power is the v3 part of each a^(n-j) b^j,
+and no digit is lost to the sums of a product ladder.
+
 Composition splits every series into plain + v3 * (v3 part); since
 v3^2 = 0 the expensive inner loops only ever run on plain series, which
 stay tiny in this pipeline.  The multiplicative inverse is taken only of a
@@ -249,12 +258,13 @@ class TruncatedSeries(Immutable):
         A series of one or two terms a*x^e + b*x^f is raised by the binomial
         theorem, sum_j C(n, j) a^(n-j) b^j x^((n-j)e + jf), over only the j
         whose exponent lies inside the bounds (a one-term series is its
-        j = 0 term).  `_coefficient_powers` takes the a^(n-j) and the b^j
-        for all j at once, each with the digits of `binary_power` from the
-        one the series ladder starts from, and C(n, j) is multiplied in as
-        an exact integer, so a one-term power has the digits of the series
-        ladder and a two-term power keeps at least every digit the series
-        ladder gets right.  Three or more terms take that ladder."""
+        j = 0 term).  Each coefficient power is taken in closed form: with
+        one * c = c0 + c1 v3, at the precision of the one the series ladder
+        starts from, c^m = c0^m + m c0^(m-1) c1 v3 since v3^2 = 0, and a
+        p-adic power is exact at its relative precision.  So no digit is
+        lost to the sums of a product ladder; the one sum left is the v3
+        part of each a^(n-j) b^j.  C(n, j) is multiplied in as an exact
+        integer.  Three or more terms take the series ladder."""
         if n >= 1 and self.terms:
             least = [min(e) for e in zip(*self.terms)]  # per variable
             lowest = min(sum(e) for e in self.terms)  # total degree
@@ -269,6 +279,7 @@ class TruncatedSeries(Immutable):
         (e, a), *rest = self.terms.items()
         # a one-term series is the j = 0 term of a*x^e + 1*x^e
         f, b = rest[0] if rest else (e, one)
+        a, b = one * a, one * b
         lo, hi = 0, (n if rest else 0)
         for u, w, bound in zip(e, f, self.bounds):
             # (n-j) u + j w < bound, that is j (w - u) < bound - n u; where
@@ -277,14 +288,19 @@ class TruncatedSeries(Immutable):
                 hi = min(hi, (bound - n * u - 1) // (w - u))
             elif w < u:
                 lo = max(lo, (bound - n * u) // (w - u) + 1)
-        a_pows = _coefficient_powers(a, range(n - hi, n - lo + 1), one)
-        b_pows = _coefficient_powers(b, range(lo, hi + 1), one)
+
+        def power(c: CoeffV3, m: int) -> CoeffV3:
+            if m <= 1:
+                return c if m else one
+            c0, c1 = c.plain, c.v3part
+            return CoeffV3(c0**m, (c0 ** (m - 1) * c1).mul_int(m))
+
         terms = []
         for j in range(lo, hi + 1):
             # a product by b^0 or by C(n, j) = 1 would change no digit
-            c = a_pows[hi - j]
+            c = power(a, n - j)
             if j:
-                c = c * b_pows[j - lo]
+                c = c * power(b, j)
             k = math.comb(n, j)
             exp = tuple((n - j) * u + j * w for u, w in zip(e, f))
             terms.append((exp, c if k == 1 else c.mul_int(k)))
@@ -348,36 +364,6 @@ def series_precision(f: TruncatedSeries) -> int:
         if not c.v3part.is_zero():
             return c.v3part.prec
     return DEFAULT_PRECISION
-
-
-def _coefficient_powers(base: CoeffV3, exps: range, one: CoeffV3) -> list[CoeffV3]:
-    """base^m for each m of an increasing range, each with every digit of
-    `binary_power(base, m, one, operator.mul)`.
-
-    The ladder's products are taken in its order, result * base^(2^k), but
-    each squaring base^(2^k) is taken once for all m.  A v3-free base steps
-    from the first power instead, base^(m+1) = base^m * base: its products
-    add valuations and multiply units mod p^min(prec), which is associative,
-    so the digits are the ladder's.  A base with a v3 part keeps the
-    ladder's grouping: the v3 part of each product is a p-adic sum, and a
-    sum can lose digits."""
-    out: list[CoeffV3] = []
-    squares = [base]
-    stepped = base.v3part.is_zero()
-    for m in exps:
-        if stepped and out:
-            out.append(out[-1] * base)
-            continue
-        c, k = one, 0
-        while m:
-            if m & 1:
-                c = c * squares[k]
-            m >>= 1
-            k += 1
-            if m and k == len(squares):
-                squares.append(squares[-1] * squares[-1])
-        out.append(c)
-    return out
 
 
 _set_vars = TruncatedSeries.vars.__set__

@@ -1,17 +1,23 @@
 import functools
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from powerops import cli, dl, reports
 from powerops.arith import prime_factors
 
 GOLDEN = Path(__file__).parent / "golden"
+SCHEMA = Path(__file__).parent.parent / "src" / "powerops" / "report.schema.json"
 
 
 def run_cli(args, env=None):
@@ -287,3 +293,127 @@ def test_cli_import_builds_no_parser():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0\n"
+
+
+# every accepted argv against an answer written here, and every near miss
+# against the README's list of rejections (exit 2): a --p that is not an odd
+# prime up to 37, an unknown suite, an --i outside 2..p, a --precision that
+# is not an integer K >= 2, verify --precision when no selected suite reads
+# it, and a flag the subcommand does not read
+SUBCOMMANDS = {"verify": ["verify"], "compute": ["compute", "power-op"], "solve": ["solve", "sigma"]}
+READS = {"verify": {"--suite", "--precision", "--seed"}, "compute": {"--i", "--precision"}, "solve": set()}
+SUITE_NAMES = (*reports.SUITES, *reports.EXTRA_SUITES)
+
+
+def _mostly(good, near_misses):
+    """A value from good or from near_misses, from good about three times in four."""
+    return st.sampled_from(list(good) * max(1, 3 * len(near_misses) // len(good)) + list(near_misses))
+
+
+OPTIONAL = {
+    "--suite": st.sampled_from([*SUITE_NAMES, "all", "nonsense"]),
+    "--precision": _mostly(["2", "3", "8"], ["1", "x"]),
+    "--seed": st.integers(0, 9).map(str),
+    "--i": st.integers(2, 3).map(str),  # drawn here only where it is not read
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """(command, flags): a subcommand and its flags as strings, with an
+    accepted prime p <= 13 three times in four, each flag the subcommand
+    reads present or not, and one time in four a flag it does not read."""
+    command = draw(st.sampled_from(sorted(READS)))
+    p = draw(_mostly([3, 5, 7, 11, 13], [1, 2, 4, 9, 39, 41]))
+    flags = {"--p": str(p), "--format": draw(st.sampled_from(["text", "json"]))}
+    if command == "compute":
+        flags["--i"] = str(draw(st.integers(1, p + 1)))
+    for flag in sorted(READS[command] - set(flags)):
+        if draw(st.booleans()):
+            flags[flag] = draw(OPTIONAL[flag])
+    stray = draw(_mostly([None], sorted(set(OPTIONAL) - READS[command])))
+    if stray:
+        flags[stray] = draw(OPTIONAL[stray])
+    return command, tuple(draw(st.permutations(sorted(flags.items()))))
+
+
+def _is_odd_prime_to_37(p):
+    return 3 <= p <= 37 and all(p % q for q in range(2, p))
+
+
+def _rejected(command, flags):
+    """Whether the README says the CLI rejects this argv with exit 2."""
+    flags = dict(flags)
+    p, k = int(flags["--p"]), flags.get("--precision")
+    if not _is_odd_prime_to_37(p) or set(flags) - {"--p", "--format"} - READS[command]:
+        return True
+    if k is not None and not (k.isdigit() and int(k) >= 2):
+        return True
+    if command == "verify":
+        suite = flags.get("--suite", "all")
+        if suite not in (*SUITE_NAMES, "all"):
+            return True
+        selected = reports.SUITES if suite == "all" else (suite,)
+        return k is not None and not {"powerop", "properties"} & set(selected)
+    return command == "compute" and not 2 <= int(flags["--i"]) <= p
+
+
+def _closed_form(p, i):
+    """-C(ip, i)/p * v3 * alpha^(p^3 - 1 - i(p - 1)), rendered with the
+    residue of its coefficient signed into -(p-1)/2..(p-1)/2."""
+    c = (-math.comb(i * p, i) // p) % p
+    signed = c if c <= (p - 1) // 2 else c - p
+    scale = "" if abs(signed) == 1 else f"{abs(signed)} * "
+    return ("-" if signed < 0 else "") + f"{scale}v3 * alpha^{p**3 - 1 - i * (p - 1)}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(cli_argvs())
+@example(("verify", (("--p", "41"), ("--suite", "powerop"))))
+@example(("verify", (("--p", "3"), ("--suite", "nonsense"))))
+@example(("verify", (("--p", "13"), ("--suite", "relation"), ("--precision", "3"))))
+@example(("verify", (("--p", "5"), ("--suite", "all"), ("--format", "json"), ("--precision", "2"))))
+@example(("compute", (("--p", "7"), ("--i", "1"))))
+@example(("compute", (("--p", "7"), ("--i", "8"))))
+@example(("compute", (("--p", "5"), ("--i", "2"), ("--precision", "1"))))
+@example(("compute", (("--p", "7"), ("--i", "7"), ("--precision", "x"))))
+@example(("compute", (("--p", "11"), ("--i", "2"), ("--format", "json"), ("--seed", "1"))))
+@example(("solve", (("--p", "9"),)))
+def test_every_argv_exits_as_the_readme_says_with_the_closed_form(case):
+    command, flags = case
+    argv = SUBCOMMANDS[command] + [s for pair in flags for s in pair]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), mock.patch.dict(os.environ):
+        os.environ.pop("POWEROPS_SEED", None)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    # every accepted input passes every check: none of them fails here
+    assert code == (2 if _rejected(command, flags) else 0), (argv, code, err)
+    assert "Traceback" not in err and (code != 2 or err.strip()), (argv, err)
+    if code:
+        return
+    opts = dict(flags)
+    p = int(opts["--p"])
+    if command == "verify" and opts.get("--format") == "json":
+        jsonschema = pytest.importorskip("jsonschema")
+        report = json.loads(out)
+        jsonschema.validate(report, json.loads(SCHEMA.read_text()))
+        assert report["seed"] == int(opts.get("--seed", 0))
+        values = [c for s in report["suites"] for c in s["checks"] if c["name"].startswith("value_i")]
+        assert all(c["actual"] == _closed_form(p, int(c["name"][7:])) for c in values), values
+    elif command == "verify":
+        values = [line.split() for line in out.splitlines() if "] value_i" in line]
+        assert all(" ".join(v[3:]) == f"({_closed_form(p, int(v[2][7:]))})" for v in values), values
+    elif command == "compute":
+        i = int(opts["--i"])
+        if opts.get("--format") == "json":
+            got = json.loads(out)
+            assert got["value"] == _closed_form(p, i)
+            c = (-math.comb(i * p, i) // p) % p
+            assert got["coefficients"] == {str(p**3 - 1 - i * (p - 1)): [0, c]}
+        else:
+            assert out.strip() == _closed_form(p, i)

@@ -86,3 +86,62 @@ def test_halves_import_only_their_own_modules(modules, allowed):
     # (scalars, series, formal group law) share only `arith`
     for name in modules:
         assert _package_imports(name) <= allowed, name
+
+
+SOURCES = {
+    path.stem: path.read_text()
+    for path in sorted(Path(powerops.__file__).parent.glob("*.py"))
+    if path.name != "__init__.py"
+}
+
+
+def _unused_imports(source):
+    """The names a module imports but neither uses nor lists in `__all__`."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+    return sorted(imported - used - exported)
+
+
+def test_unused_import_check_sees_a_stale_import():
+    # scalar.py takes its powers in closed form and needs neither
+    source = "import operator\nfrom .arith import binary_power\n" + SOURCES["scalar"]
+    assert _unused_imports(source) == ["binary_power", "operator"]
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_every_import_is_used(name):
+    assert _unused_imports(SOURCES[name]) == []
+
+
+def test_every_private_definition_is_referenced():
+    # a private module-level function or class that nothing in the package
+    # names is dead code: nothing outside the package should reach for it
+    package = [ast.parse(path.read_text()) for path in Path(powerops.__file__).parent.glob("*.py")]
+    referenced = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in package
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    dead = [
+        (name, node.name)
+        for name, source in SOURCES.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+        and node.name not in referenced
+    ]
+    assert dead == []

@@ -97,10 +97,11 @@ def test_formal_sums_oracle_from_its_least_precision(p, least):
 
 
 def test_formal_sums_oracle_coefficient_product_budget(monkeypatch):
-    # the g oracle at p = 5 makes 527 coefficient products: each base of a
-    # two-term power squares once for all binomial indices j, and a v3-free
-    # base steps from one power to the next.  A binary_power ladder per j
-    # made 1 035.
+    # the g oracle at p = 5 makes 291 coefficient products: a power of one
+    # or two terms takes one product per base to fix its precision and one
+    # per binomial index j > 0, and each coefficient power is a closed form
+    # in p-adic scalars.  Squaring each base once for all j made 527, and a
+    # binary_power ladder per j made 1 035.
     p = 5
     bounds = (2 * p + 1, p**3 + p)
     F = FormalGroupLaw.v3_truncated(p, K)
@@ -113,7 +114,7 @@ def test_formal_sums_oracle_coefficient_product_budget(monkeypatch):
 
     monkeypatch.setattr(CoeffV3, "__mul__", counting_mul)
     oracle = _g_by_formal_sums(F, *bounds)
-    assert calls[0] == 527
+    assert calls[0] == 291
     monkeypatch.undo()
     assert oracle == g_series(F, *bounds)
 

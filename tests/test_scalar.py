@@ -4,6 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from powerops import cli
+from powerops.arith import prime_factors
 from powerops.scalar import (
     CoeffV3,
     PAdicScalar,
@@ -53,7 +55,16 @@ def test_teichmuller_rejects_zero():
         teichmuller(0, 5, 4)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("prec", [0, -1])
+def test_teichmuller_rejects_fewer_than_one_digit(prec):
+    # a lift with no digit would be a nonzero scalar that knows nothing
+    with pytest.raises(ValueError, match="at least one digit"):
+        teichmuller(2, 5, prec)
+    with pytest.raises(ValueError, match="at least one digit"):
+        primitive_teichmuller_root(5, prec)
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, cli.MAX_PRIME + 1, 2) if prime_factors(p) == [p]])
 def test_teichmuller_is_root_of_unity_and_multiplicative(p):
     K = 8
     w = primitive_teichmuller_root(p, K)

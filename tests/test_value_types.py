@@ -4,7 +4,7 @@ left at its default is a new one per instance."""
 
 import pytest
 
-from powerops import dl, mu_homology, powerop, reports
+from powerops import dl, mu_homology, reports
 from powerops.fgl import FormalGroupLaw, Logarithm
 from powerops.mu_homology import SymmetricClass
 from powerops.scalar import CoeffV3, PAdicScalar, primitive_teichmuller_root
@@ -124,9 +124,7 @@ def test_value_equality_compares_every_field(cls, args, changed):
 
 
 def test_record_defaults_are_fresh_per_instance():
-    x = TruncatedSeries.variable(P, "x", ("x",), (3,), K)
     made = [
-        (lambda: powerop.PipelineTrace(P, *[x] * 7), "labels", powerop.STAGE_FORMULAS),
         (lambda: mu_homology.PropositionReport(P, "b"), "checks", []),
         (lambda: reports.SuiteReport("stdl", P), "checks", []),
     ]
