@@ -1,7 +1,9 @@
 """What the package's two halves share: the base of the immutable value
-types, square-and-multiply powering, the distinct prime factors of a small
-integer, binomial coefficients mod p, sparse polynomials over F_p, and the
-Cartan formula for power operations on a product.
+types, `Record`, the base of the result records, and `CheckList`, the base
+of the check lists with their one clock; square-and-multiply powering, the
+distinct prime factors of a small integer, binomial coefficients mod p,
+sparse polynomials over F_p, and the Cartan formula for power operations on
+a product.
 
 A sparse polynomial is a ``{monomial: coefficient}`` dict.  A monomial is a
 tuple of ``(variable, exponent)`` pairs sorted by variable; the empty tuple
@@ -25,6 +27,7 @@ the caller's stack is fixed."""
 from __future__ import annotations
 
 import math
+import time
 from bisect import bisect_left
 from collections.abc import Mapping
 from operator import attrgetter
@@ -32,6 +35,8 @@ from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 __all__ = [
     "Immutable",
+    "Record",
+    "CheckList",
     "binary_power",
     "prime_factors",
     "binom_mod",
@@ -70,6 +75,39 @@ class Immutable:
             return NotImplemented
         fields = attrgetter(*self.__slots__)
         return fields(self) == fields(other)
+
+
+class Record:
+    """Base of the result records: a record is its ``__slots__``.  It is
+    built from their values in that order, and `as_dict` maps each name to
+    its value."""
+
+    __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            setattr(self, name, value)
+
+    def as_dict(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+
+class CheckList:
+    """Base of the check lists: `checks` and the one clock, `_elapsed_ms`,
+    which charges each check with the time since the previous one, or since
+    the list was made; each check is computed just before it is added."""
+
+    __slots__ = ("checks", "_since")
+
+    def __init__(self, checks: list | None = None) -> None:
+        self.checks = [] if checks is None else checks
+        self._since = time.perf_counter()
+
+    def _elapsed_ms(self) -> float:
+        since, self._since = self._since, time.perf_counter()
+        return round((self._since - since) * 1000, 3)
 
 
 def binary_power(base: T, n: int, one: T, mul: Callable[[T, T], T]) -> T:

@@ -27,7 +27,11 @@ def _check_prime(p: int) -> int:
 
 
 def _precision(text: str) -> int:
-    k = int(text)
+    try:
+        k = int(text)
+    except ValueError:
+        # argparse would name this function in its own message
+        raise argparse.ArgumentTypeError(f"precision must be an integer K >= 2, got {text!r}") from None
     # the power-operation value is C(ip, i)/p: dividing by p needs a second digit
     if k < 2:
         raise argparse.ArgumentTypeError(f"precision must be at least 2, got {k}")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 from typing import Iterable
 
-from .arith import binom_mod, cartan, frobenius, poly_mul, poly_pow, poly_sum
+from .arith import Record, binom_mod, cartan, frobenius, poly_mul, poly_pow, poly_sum
 
 __all__ = [
     "DLAlgebra",
@@ -331,11 +331,8 @@ class RelationSpec:
         return self.algebra.sum(parts)
 
 
-class RelationReport:
+class RelationReport(Record):
     __slots__ = ("p", "residual", "identities", "en_threshold")
-
-    def __init__(self, p: int, residual: DLPolynomial, identities: dict[str, bool], en_threshold: int):
-        self.p, self.residual, self.identities, self.en_threshold = p, residual, identities, en_threshold
 
     @property
     def passed(self) -> bool:
@@ -381,12 +378,9 @@ def verify_relation(p: int) -> RelationReport:
     return RelationReport(p, rel.relation_value(), identities, relation_en_threshold(p))
 
 
-class SigmaSolution:
+class SigmaSolution(Record):
+    # sigmas holds sigma_1 .. sigma_(p-2)
     __slots__ = ("p", "sigmas", "residual", "kernel_dimension")
-
-    def __init__(self, p: int, sigmas: list[int], residual: DLPolynomial, kernel_dimension: int):
-        # sigmas holds sigma_1 .. sigma_(p-2)
-        self.p, self.sigmas, self.residual, self.kernel_dimension = p, sigmas, residual, kernel_dimension
 
     @property
     def verified(self) -> bool:
@@ -414,11 +408,8 @@ def solve_sigma(p: int) -> SigmaSolution:
     return SigmaSolution(p, sigmas, residual, len(w) - len(set(words) - {None}))
 
 
-class FactorizationReport:
+class FactorizationReport(Record):
     __slots__ = ("p", "sigmas", "residual")
-
-    def __init__(self, p: int, sigmas: list[int], residual: DLPolynomial):
-        self.p, self.sigmas, self.residual = p, sigmas, residual
 
     @property
     def passed(self) -> bool:

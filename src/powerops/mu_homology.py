@@ -35,9 +35,10 @@ in positive degree.
 from __future__ import annotations
 
 import random
-import time
 
-from .arith import Immutable, PackedPoly, _product, binom_mod, cartan, frobenius, poly_mul, poly_pow, poly_sum
+from .arith import (
+    CheckList, Immutable, PackedPoly, Record, _product, binom_mod, cartan, frobenius, poly_mul, poly_pow, poly_sum
+)
 from .finite_field import GaloisField
 
 __all__ = [
@@ -282,32 +283,25 @@ def symmetric_evaluate(cls: SymmetricClass, sample: list[int], fld: GaloisField)
 # ---------------------------------------------------------------------------
 
 
-class IdentityCheck:
+class IdentityCheck(Record):
     __slots__ = ("name", "passed", "method", "elapsed_ms")
 
-    def __init__(self, name: str, passed: bool, method: str, elapsed_ms: float = 0.0):
-        self.name, self.passed, self.method, self.elapsed_ms = name, passed, method, elapsed_ms
 
-
-class PropositionReport:
-    __slots__ = ("p", "context", "checks", "_since")
+class PropositionReport(CheckList):
+    __slots__ = ("p", "context")
 
     def __init__(self, p: int, context: str, checks: list[IdentityCheck] | None = None):
+        super().__init__(checks)
         self.p, self.context = p, context
-        self.checks = [] if checks is None else checks
-        self._since = time.perf_counter()
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def add(self, name: str, passed: bool, method: str) -> None:
-        """Record a check, charged with the time since the previous one (or
-        since the report was made): the identities are decided one after
-        another, each just before its check is added."""
-        now = time.perf_counter()
-        self.checks.append(IdentityCheck(name, passed, method, elapsed_ms=(now - self._since) * 1000))
-        self._since = now
+        # the identities are decided one after another, each just before its
+        # check is added
+        self.checks.append(IdentityCheck(name, passed, method, self._elapsed_ms()))
 
 
 def _equal_exact(a: SymmetricClass, b: SymmetricClass) -> bool:

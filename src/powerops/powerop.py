@@ -29,10 +29,10 @@ beyond p^3 + p for every i >= 2.
 
 from __future__ import annotations
 
+from .arith import Record
 from .fgl import FormalGroupLaw, Logarithm
 from .scalar import CoeffV3, PAdicScalar
 from .series import (
-    QuotientNormalForm,
     TruncatedSeries,
     divide_by_alpha_power,
     lagrange_invert,
@@ -168,28 +168,12 @@ def k_series(g: TruncatedSeries, chi: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(("y", "alpha"), (g.bounds[ix], g.bounds[ia]), terms, g.p)
 
 
-class PipelineTrace:
+class PipelineTrace(Record):
     """All intermediate series of one pipeline run; `STAGE_FORMULAS` labels
-    each stage."""
+    each stage.  `run_pipeline` leaves f_n and h_n None, and
+    `power_operation_value` fills them in."""
 
     __slots__ = ("p", "chi", "angle_p", "g", "k", "k_inverse", "ell_prime_term", "f_source", "f_n", "h_n")
-
-    def __init__(
-        self,
-        p: int,
-        chi: TruncatedSeries,
-        angle_p: TruncatedSeries,
-        g: TruncatedSeries,
-        k: TruncatedSeries,
-        k_inverse: TruncatedSeries,
-        ell_prime_term: TruncatedSeries,
-        f_source: TruncatedSeries,
-        f_n: TruncatedSeries | None = None,
-        h_n: TruncatedSeries | None = None,
-    ):
-        self.p, self.chi, self.angle_p, self.g, self.k = p, chi, angle_p, g, k
-        self.k_inverse, self.ell_prime_term, self.f_source = k_inverse, ell_prime_term, f_source
-        self.f_n, self.h_n = f_n, h_n
 
 
 def run_pipeline(F: FormalGroupLaw, x_bound: int, alpha_bound: int) -> PipelineTrace:
@@ -210,7 +194,7 @@ def run_pipeline(F: FormalGroupLaw, x_bound: int, alpha_bound: int) -> PipelineT
     dkinv = kinv.with_bounds(
         tuple(b + 1 if v == "y" else b for v, b in zip(kinv.vars, kinv.bounds))
     ).derivative("y")
-    return PipelineTrace(F.p, chi, angle, g, k, kinv, ell_prime, dkinv)
+    return PipelineTrace(F.p, chi, angle, g, k, kinv, ell_prime, dkinv, None, None)
 
 
 def _log_derivative_of(log: Logarithm, w: TruncatedSeries) -> TruncatedSeries:
@@ -252,13 +236,10 @@ def h_polynomial(f_n: TruncatedSeries, angle: TruncatedSeries, n: int) -> Trunca
     return TruncatedSeries(f_n.vars, f_n.bounds, h.terms, f_n.p)
 
 
-class PowerOpResult:
+class PowerOpResult(Record):
     """Normalized value of chi^n * (power operation on the 2n-class)."""
 
     __slots__ = ("n", "value", "trace")
-
-    def __init__(self, n: int, value: QuotientNormalForm, trace: PipelineTrace):
-        self.n, self.value, self.trace = n, value, trace
 
 
 def power_operation_value(

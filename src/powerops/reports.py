@@ -8,10 +8,9 @@ the elapsed-time fields.
 from __future__ import annotations
 
 import math
-import time
 
 from . import dl, mu_homology, powerop
-from .arith import binary_power, poly_mul
+from .arith import CheckList, Record, binary_power, poly_mul
 from .fgl import FormalGroupLaw
 from .scalar import (
     DEFAULT_PRECISION,
@@ -29,65 +28,37 @@ SUITES = ("powerop", "stdl", "mudl", "relation", "sigma", "factorization")
 EXTRA_SUITES = ("congruences", "properties")
 
 
-class Check:
+class Check(Record):
+    # status: pass | fail
     __slots__ = ("name", "status", "expected", "actual", "precision_digits", "elapsed_ms")
 
-    def __init__(
-        self,
-        name: str,
-        status: str,  # pass | fail
-        expected: str = "",
-        actual: str = "",
-        precision_digits: int | None = None,
-        elapsed_ms: float = 0.0,
-    ):
-        self.name, self.status, self.expected, self.actual = name, status, expected, actual
-        self.precision_digits, self.elapsed_ms = precision_digits, elapsed_ms
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "expected": self.expected,
-            "actual": self.actual,
-            "precision_digits": self.precision_digits,
-            "elapsed_ms": self.elapsed_ms,
-        }
-
-
-class SuiteReport:
+class SuiteReport(CheckList):
     """One suite's checks.  `precision` is the digit count every check added
     afterwards records; it is None unless the suite works at a precision."""
 
-    __slots__ = ("suite", "prime", "checks", "precision", "_since")
+    __slots__ = ("suite", "prime", "precision")
 
     def __init__(self, suite: str, prime: int, checks: list[Check] | None = None):
+        super().__init__(checks)
         self.suite, self.prime = suite, prime
-        self.checks = [] if checks is None else checks
         self.precision: int | None = None
-        self._since = time.perf_counter()
 
     @property
     def overall(self) -> str:
         return "pass" if all(c.status != "fail" for c in self.checks) else "fail"
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "suite": self.suite,
             "prime": self.prime,
             "overall": self.overall,
-            "checks": [c.to_dict() for c in sorted(self.checks, key=lambda c: c.name)],
+            "checks": [c.as_dict() for c in sorted(self.checks, key=lambda c: c.name)],
         }
-        return d
 
     def add(self, name: str, passed: bool, expected: str = "", actual: str = "") -> None:
-        """Record a check, charged with the time since the previous one (or
-        since the report was made): each check is computed just before it is
-        added."""
-        now = time.perf_counter()
-        ms = round((now - self._since) * 1000, 3)
-        self.checks.append(Check(name, "pass" if passed else "fail", expected, actual, self.precision, ms))
-        self._since = now
+        status = "pass" if passed else "fail"
+        self.checks.append(Check(name, status, expected, actual, self.precision, self._elapsed_ms()))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +108,7 @@ def suite_powerop(p: int, precision: int = DEFAULT_PRECISION) -> SuiteReport:
 def _proposition_suite(name: str, p: int, result: mu_homology.PropositionReport) -> SuiteReport:
     """A suite report of the Newton-class identities, each with its own time."""
     checks = [
-        Check(c.name, "pass" if c.passed else "fail", "0", c.method, elapsed_ms=round(c.elapsed_ms, 3))
+        Check(c.name, "pass" if c.passed else "fail", "0", c.method, None, c.elapsed_ms)
         for c in result.checks
     ]
     return SuiteReport(name, p, checks)
@@ -267,7 +238,7 @@ def suite_properties(p: int, precision: int = DEFAULT_PRECISION, seed: int = 0) 
     vars2, bounds2 = ("y", "alpha"), (10, 8)
     k = TruncatedSeries.variable(p, "y", vars2, bounds2, precision)
     a = TruncatedSeries.variable(p, "alpha", vars2, bounds2, precision)
-    for n in range(2, 6):
+    for _ in range(2, 6):
         c = rng.randrange(p)
         if c:
             k = k + (k * k * a).mul_int(c)

@@ -119,6 +119,12 @@ def test_removed_truncation_flags_are_rejected(capsys):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "precision must be at least 2" in proc.stderr
+    # a precision that is no integer is rejected with the rule, not with the
+    # name of the function that parses it
+    proc = run_cli(["compute", "power-op", "--p", "5", "--i", "2", "--precision", "x"])
+    assert proc.returncode == 2
+    assert "precision must be an integer K >= 2, got 'x'" in proc.stderr
+    assert "_precision" not in proc.stderr
     # a runner takes only the options it reads
     with pytest.raises(TypeError):
         reports.run_suite("relation", 3, precision=3)

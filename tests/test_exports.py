@@ -145,3 +145,70 @@ def test_every_private_definition_is_referenced():
         and node.name not in referenced
     ]
     assert dead == []
+
+
+# a class whose constructor only copies its parameters into same-named
+# attributes is a `Record`; DLPolynomial keeps its own, as it is built per
+# product and sum on the mod-p hot path, where a generic setter loop costs
+# about twice as much per construction
+COPYING_INIT_ALLOWED = {("dl", "DLPolynomial")}
+
+
+def _copies_parameters(stmt, params):
+    """Whether `stmt` is ``self.a = a`` or ``self.a, self.b = a, b`` over
+    parameters of the enclosing function."""
+    if isinstance(stmt, ast.AnnAssign):
+        target, value = stmt.target, stmt.value
+    elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+        target, value = stmt.targets[0], stmt.value
+    else:
+        return False
+    if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple) and len(target.elts) == len(value.elts):
+        pairs = zip(target.elts, value.elts)
+    else:
+        pairs = [(target, value)]
+    return all(
+        isinstance(t, ast.Attribute)
+        and isinstance(t.value, ast.Name)
+        and t.value.id == "self"
+        and isinstance(v, ast.Name)
+        and v.id == t.attr
+        and v.id in params
+        for t, v in pairs
+    )
+
+
+def _copying_inits(source):
+    """The classes whose ``__init__`` only copies its parameters into
+    same-named attributes of self."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                params = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+                body = [s for s in fn.body if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
+                if body and all(_copies_parameters(s, params) for s in body):
+                    found.append(cls.name)
+    return found
+
+
+def test_copying_init_check_sees_a_hand_written_record():
+    source = (
+        "class Report:\n"
+        "    __slots__ = ('p', 'residual')\n\n"
+        "    def __init__(self, p, residual):\n"
+        "        '''A report.'''\n"
+        "        self.p, self.residual = p, residual\n\n"
+        "class Kept:\n"
+        "    def __init__(self, p):\n"
+        "        self.p = p\n"
+        "        self.q = None\n"
+    )
+    assert _copying_inits(source) == ["Report"]
+
+
+def test_no_constructor_only_copies_its_parameters():
+    found = {(name, cls) for name, source in SOURCES.items() for cls in _copying_inits(source)}
+    assert found == COPYING_INIT_ALLOWED

@@ -176,11 +176,27 @@ def test_k_inverse_golden_and_roundtrip(p, prec):
     if prec < 3:
         # below three digits the composition itself is lossy: at p = 3 it
         # leaves 3^2 y^7 alpha^6 where the exact value is 0, because
-        # PAdicScalar.__add__ maps cancellation to an exact zero
+        # PAdicScalar.__add__ maps cancellation to an exact zero; pinned by
+        # test_k_round_trip_at_two_digits
         return
     y = TruncatedSeries.variable(p, "y", kinv.vars, kinv.bounds, prec)
     assert tr.k.substitute("y", kinv) == y
     assert kinv.substitute("y", tr.k.with_bounds(kinv.bounds)) == y
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 9: at K = 2 TruncatedSeries.substitute claims a digit it does not have "
+    "(CHANGES.md FOUND on TruncatedSeries.substitute): k(k^(-1)) leaves 3^2 y^7 alpha^6 + O(3^3)",
+)
+@pytest.mark.parametrize("i", [2, 3])
+def test_k_round_trip_at_two_digits(i):
+    # the pipeline's own bounds for the value at i; from K = 3 up the round
+    # trip gives y
+    p = 3
+    tr = run_pipeline(FormalGroupLaw.v3_truncated(p, 2), p**2, p**3 + i * (p - 1) ** 2 + 1)
+    y = TruncatedSeries.variable(p, "y", tr.k_inverse.vars, tr.k_inverse.bounds, 2)
+    assert tr.k.substitute("y", tr.k_inverse) == y
 
 
 def test_k_inverse_term_pair_budget(monkeypatch):

@@ -1,10 +1,12 @@
 """The slotted value types: immutable, unhashable, shared zeros, and an
-equality that compares every field.  The slotted records: a list or dict
-left at its default is a new one per instance."""
+equality that compares every field.  The slotted records: each is built
+from exactly its fields, in `__slots__` order, and a list or dict left at
+its default is a new one per instance."""
 
 import pytest
 
-from powerops import dl, mu_homology, reports
+from powerops import dl, mu_homology, powerop, reports
+from powerops.arith import Record
 from powerops.fgl import FormalGroupLaw, Logarithm
 from powerops.mu_homology import SymmetricClass
 from powerops.scalar import CoeffV3, PAdicScalar, primitive_teichmuller_root
@@ -133,3 +135,30 @@ def test_record_defaults_are_fresh_per_instance():
         assert getattr(a, name) == want
         assert getattr(a, name) is not getattr(b, name)
         assert getattr(a, name) is not want
+
+
+RECORDS = [
+    reports.Check,
+    mu_homology.IdentityCheck,
+    dl.RelationReport,
+    dl.SigmaSolution,
+    dl.FactorizationReport,
+    powerop.PipelineTrace,
+    powerop.PowerOpResult,
+]
+
+
+def test_every_record_is_listed():
+    assert set(Record.__subclasses__()) == set(RECORDS)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_takes_exactly_its_fields(cls):
+    values = list(range(len(cls.__slots__)))
+    record = cls(*values)
+    assert list(record.as_dict()) == list(cls.__slots__)
+    assert list(record.as_dict().values()) == values
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, len(values))
