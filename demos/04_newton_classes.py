@@ -1,8 +1,11 @@
 """Newton classes, the Q-action on them, and the two identity suites for the
-polynomial generators of the relevant homology rings."""
+polynomial generators of the relevant homology rings.  Each suite adds one
+report row per identity: a passing row names the route that decided it, and
+a failed one adds the residual lhs - rhs as Newton classes."""
 
 import random
 
+from powerops.arith import residual_text
 from powerops.finite_field import GaloisField
 from powerops.mu_homology import (
     SymmetricClass,
@@ -39,8 +42,12 @@ print()
 print("== both identity suites at p = 3, 5, 7 ==")
 for q in (3, 5, 7):
     s, m = verify_stdl(q), verify_mudl(q)
-    print(f"p={q}: dual-Steenrod suite {s.passed}, complex-bordism suite {m.passed}",
-          f"(identity 4 method: {next(c.method for c in m.checks if c.name == 'q_on_power_top')})")
+    held = [f"{sum(c.status == 'pass' for c in rows.checks)}/{len(rows.checks)}" for rows in (s, m)]
+    print(f"p={q}: dual-Steenrod suite {held[0]}, complex-bordism suite {held[1]} hold",
+          f"(identity 4 route: {next(c.actual for c in m.checks if c.name == 'q_on_power_top')})")
+print("each row's actual is the route that decided it, for example at p = 3:")
+for c in verify_mudl(3).checks:
+    print(f"  {c.name}: {c.status} by {c.actual}")
 
 print()
 print("== randomized evaluation through the symmetric specialization ==")
@@ -59,4 +66,5 @@ hits = sum(
     for _ in range(8)
 )
 print(f"lhs - (rhs - N_8) = N_8 is nonzero on {hits}/8 random samples over F_(5^4):",
-      "the sampled route catches the false side")
+      "the sampled route catches the false side, and its failed row would read")
+print(f"  sampled(64, F_5^4): residual {residual_text(wrong)}")

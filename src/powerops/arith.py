@@ -1,6 +1,8 @@
 """What the package's two halves share: the base of the immutable value
-types, `Record`, the base of the result records, and `CheckList`, the base
-of the check lists with their one clock; square-and-multiply powering, the
+types, `Record`, the base of the result records, `Check`, the one shape of
+a report row, and `CheckList`, to which each verifier adds its own rows,
+timed by its one clock, with `residual_text` as the witness of a failed
+identity; square-and-multiply powering, the
 distinct prime factors of a small integer, binomial coefficients mod p,
 sparse polynomials over F_p, and the Cartan formula for power operations on
 a product.
@@ -36,7 +38,9 @@ from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 __all__ = [
     "Immutable",
     "Record",
+    "Check",
     "CheckList",
+    "residual_text",
     "binary_power",
     "prime_factors",
     "binom_mod",
@@ -94,20 +98,50 @@ class Record:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
+class Check(Record):
+    """One row of a report.  ``status`` is "pass" or "fail"; a failed
+    identity's ``actual`` is its route, ": residual " and `residual_text` of
+    lhs - rhs."""
+
+    __slots__ = ("name", "status", "expected", "actual", "precision_digits", "elapsed_ms")
+
+    @property
+    def passed(self) -> bool:  # stays for bench/jobs.py until the next benchmark PR
+        return self.status == "pass"
+
+    @property
+    def method(self) -> str:  # stays for bench/jobs.py until the next benchmark PR
+        return self.actual.partition(": ")[0]
+
+
 class CheckList:
-    """Base of the check lists: `checks` and the one clock, `_elapsed_ms`,
-    which charges each check with the time since the previous one, or since
-    the list was made; each check is computed just before it is added."""
+    """Base of the check lists: `checks`, the digit count `precision` that
+    every row added afterwards records (None unless the list works at a
+    precision), and the one clock, which charges each row with the time
+    since the previous one, or since the list was made; each check is
+    computed just before its row is added."""
 
-    __slots__ = ("checks", "_since")
+    __slots__ = ("checks", "precision", "_since")
 
-    def __init__(self, checks: list | None = None) -> None:
+    def __init__(self, checks: list[Check] | None = None) -> None:
         self.checks = [] if checks is None else checks
+        self.precision: int | None = None
         self._since = time.perf_counter()
 
-    def _elapsed_ms(self) -> float:
+    @property
+    def passed(self) -> bool:  # stays for bench/jobs.py until the next benchmark PR
+        return all(c.passed for c in self.checks)
+
+    def add(self, name: str, passed: bool, expected: str = "", actual: str = "") -> None:
         since, self._since = self._since, time.perf_counter()
-        return round((self._since - since) * 1000, 3)
+        ms = round((self._since - since) * 1000, 3)
+        self.checks.append(Check(name, "pass" if passed else "fail", expected, actual, self.precision, ms))
+
+
+def residual_text(r) -> str:
+    """The term count and the first four monomials of a polynomial r (with
+    ``terms`` and ``monomials()``), each whole; "0" for zero."""
+    return f"{len(r.terms)} term(s): " + "; ".join(r.monomials()[:4]) if r.terms else "0"
 
 
 def binary_power(base: T, n: int, one: T, mul: Callable[[T, T], T]) -> T:

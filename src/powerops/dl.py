@@ -17,8 +17,11 @@ handled through the total operation: Q_t(uv) = Q_t(u) Q_t(v) with Q_t(u^p)
 the p-th Frobenius twist of Q_t(u), which collapses the composition blowup
 for terms like Q^(p^3+p)((x^(p-1))^p Q^p x).
 
-The five straightening identities of `verify_relation` pin the Adem convention,
-and `solve_sigma` reads the sigma_i off admissible words, solving no system.
+`verify_relation` adds the relation suite's report rows itself: the E_n
+threshold, the five straightening identities, which pin the Adem convention,
+and the grand sum.  A failed identity's actual is its route, "exact", and
+its residual lhs - rhs (`arith.residual_text`).  `solve_sigma` reads the
+sigma_i off admissible words, solving no system.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import functools
 from typing import Iterable
 
-from .arith import Record, binom_mod, cartan, frobenius, poly_mul, poly_pow, poly_sum
+from .arith import CheckList, Record, binom_mod, cartan, frobenius, poly_mul, poly_pow, poly_sum, residual_text
 
 __all__ = [
     "DLAlgebra",
@@ -332,11 +335,18 @@ class RelationSpec:
 
 
 class RelationReport(Record):
-    __slots__ = ("p", "residual", "identities", "en_threshold")
+    """The relation's report rows, as `verify_relation` added them, and its
+    residual."""
+
+    __slots__ = ("residual", "checks")
 
     @property
-    def passed(self) -> bool:
-        return self.residual.is_zero() and all(self.identities.values())
+    def passed(self) -> bool:  # stays for bench/jobs.py until the next benchmark PR
+        return all(c.passed for c in self.checks)
+
+    @property
+    def identities(self) -> dict[str, bool]:  # stays for bench/jobs.py until the next benchmark PR
+        return {c.name.removeprefix("identity_"): c.passed for c in self.checks if c.name.startswith("identity_")}
 
 
 def relation_en_threshold(p: int) -> int:
@@ -349,33 +359,47 @@ def relation_en_threshold(p: int) -> int:
 
 
 def verify_relation(p: int) -> RelationReport:
-    """Expand the grand sum on its defining inputs, plus the five
-    straightening identities it reduces to, each checked individually.
+    """The relation suite's rows: the E_n threshold and the definedness of
+    the top operation there, the five straightening identities the grand
+    sum reduces to, each checked individually, and the grand sum expanded on
+    its defining inputs.  A failed identity's ``actual`` is its route,
+    "exact", and the residual lhs - rhs (`arith.residual_text`).
 
     Every left side goes through `q` on its own input; the right sides read
     the statement's classes and products."""
+    rows = CheckList()
+    threshold = relation_en_threshold(p)
+    rows.add("en_threshold", threshold == 2 * (p * p + 2), f"{2 * (p * p + 2)}", f"{threshold}")
+    definedness = op_definedness(threshold, p**3 + p, 2 * (p - 1) * (p**2 + 1))
+    want = "defined_with_properties"
+    rows.add("top_operation_definedness", definedness == want, want, definedness)
+
+    def identity(name: str, lhs: DLPolynomial, rhs: DLPolynomial) -> None:
+        held = lhs == rhs
+        actual = "holds" if held else f"exact: residual {residual_text(lhs - rhs)}"
+        rows.add(f"identity_{name}", held, "holds", actual)
+
     rel = RelationSpec.for_prime(p)
     A, x, qpx, qqx, twists = rel.algebra, rel.x, rel.qpx, rel.qqx, rel.twists
 
-    identities = {}
     lhs1 = x.q(p * p).q(p**3 + p)
-    rhs1 = A.sum([(x.q(p * p + i).q(p**3 + p - i), 1 if i % 2 else -1) for i in range(1, p)])
-    identities["adem_top_pair"] = lhs1 == rhs1
+    identity("adem_top_pair", lhs1, A.sum([(x.q(p * p + i).q(p**3 + p - i), 1 if i % 2 else -1) for i in range(1, p)]))
 
-    identities["pth_power_vanishes"] = rel.qpx_p.q(p**3 + 1).is_zero()
+    identity("pth_power_vanishes", rel.qpx_p.q(p**3 + 1), A.zero())
 
     lhs3 = rel.xp1p_qpx.q(p**3 + p)
     # T_i Q^(p^2+pi) Q^p x for i = 0..p: the statement's T_i c_i and two ends
     rhs3 = [twists[0] * qqx] + rel.twist_c + [twists[p] * qpx.q(2 * p * p)]
-    identities["cartan_frobenius_block"] = lhs3 == A.sum((t, 1) for t in rhs3)
+    identity("cartan_frobenius_block", lhs3, A.sum((t, 1) for t in rhs3))
 
-    identities["adem_interchange"] = qpx.q(2 * p * p) == x.q(2 * p).q(2 * p * p - p)
+    identity("adem_interchange", qpx.q(2 * p * p), x.q(2 * p).q(2 * p * p - p))
 
     lhs5 = rel.qpx_xp.q(2 * p * p - p)
-    rhs5 = x.pow(p * p) * qqx
-    identities["cartan_mixed_term"] = lhs5 == rhs5
+    identity("cartan_mixed_term", lhs5, x.pow(p * p) * qqx)
 
-    return RelationReport(p, rel.relation_value(), identities, relation_en_threshold(p))
+    residual = rel.relation_value()
+    rows.add("grand_relation", residual.is_zero(), "0", residual_text(residual))
+    return RelationReport(residual, rows.checks)
 
 
 class SigmaSolution(Record):

@@ -30,14 +30,22 @@ dual Steenrod algebra enter through N_(p^k - 1)(xi) = -(conjugate of xi_k).
 It obeys the instability rule Q^s x = 0 for 2s < |x|, as `dl.DLAlgebra`
 does: Q^a N_m = 0 for a < m, Q^m N_m = N_m^p, and no Q^0 is the identity
 in positive degree.
+
+`verify_stdl` and `verify_mudl` add one report row per identity to an
+`arith.CheckList`, each timed by its clock.  A row expects "0", and its
+actual is the route that decided it; a failed row adds ": residual " and
+lhs - rhs of its first failing comparison as Newton classes
+(`arith.residual_text`).
 """
 
 from __future__ import annotations
 
+import operator
 import random
 
 from .arith import (
-    CheckList, Immutable, PackedPoly, Record, _product, binom_mod, cartan, frobenius, poly_mul, poly_pow, poly_sum
+    CheckList, Immutable, PackedPoly, _product, binom_mod, cartan, frobenius, poly_mul, poly_pow, poly_sum,
+    residual_text,
 )
 from .finite_field import GaloisField
 
@@ -50,8 +58,6 @@ __all__ = [
     "symmetric_evaluate",
     "verify_stdl",
     "verify_mudl",
-    "IdentityCheck",
-    "PropositionReport",
     "DEFAULT_SAMPLES",
 ]
 
@@ -161,13 +167,16 @@ class SymmetricClass(Immutable):
             return poly if c == 1 else poly.scaled(c, p)
         return poly_sum(parts, p)
 
+    def monomials(self) -> list[str]:
+        """Each Newton monomial rendered whole, in sorted order."""
+        return ["*".join(f"N_{m}^{e}" if e > 1 else f"N_{m}" for m, e in mono) or "1" for mono in sorted(self.terms)]
+
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
         bits = []
-        for mono in sorted(self.terms):
+        for mono, body in zip(sorted(self.terms), self.monomials()):
             c = self.terms[mono]
-            body = "*".join(f"N_{m}^{e}" if e > 1 else f"N_{m}" for m, e in mono) or "1"
             bits.append(f"{c}*{body}" if c != 1 or not mono else body)
         return " + ".join(bits)
 
@@ -283,25 +292,15 @@ def symmetric_evaluate(cls: SymmetricClass, sample: list[int], fld: GaloisField)
 # ---------------------------------------------------------------------------
 
 
-class IdentityCheck(Record):
-    __slots__ = ("name", "passed", "method", "elapsed_ms")
-
-
-class PropositionReport(CheckList):
-    __slots__ = ("p", "context")
-
-    def __init__(self, p: int, context: str, checks: list[IdentityCheck] | None = None):
-        super().__init__(checks)
-        self.p, self.context = p, context
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def add(self, name: str, passed: bool, method: str) -> None:
-        # the identities are decided one after another, each just before its
-        # check is added
-        self.checks.append(IdentityCheck(name, passed, method, self._elapsed_ms()))
+def _identity(rows: CheckList, name: str, route: str, equal, pairs) -> None:
+    """Add the row of an identity that holds when ``equal(lhs, rhs)`` for
+    every (lhs, rhs) in pairs, compared in order: expected "0" and the route
+    as actual, to which a failure adds the first failing pair's residual."""
+    for lhs, rhs in pairs:
+        if not equal(lhs, rhs):
+            rows.add(name, False, "0", f"{route}: residual {residual_text(lhs - rhs)}")
+            return
+    rows.add(name, True, "0", route)
 
 
 def _equal_exact(a: SymmetricClass, b: SymmetricClass) -> bool:
@@ -330,46 +329,38 @@ def _equal_sampled(a: SymmetricClass, b: SymmetricClass, samples: int, rng: rand
     return True
 
 
-def verify_stdl(p: int) -> PropositionReport:
-    """Six identities for the conjugate class in degree 2(p-1), by exact
-    expansion in the xi-generators (sparse at every prime in scope).
+def verify_stdl(p: int) -> CheckList:
+    """The rows of six identities for the conjugate class in degree 2(p-1),
+    each by exact expansion in the xi-generators (sparse at every prime in
+    scope), but for q_p2_plus_i_vanishes, whose Newton classes are compared
+    with 0.
 
     The fourth identity carries a plus sign: Q^(p^2-p+1) of the (p-1)st
     power equals +(conjugate class)^(p^2), as the Cartan formula forces.
     """
-    rep = PropositionReport(p, "xi")
+    rows = CheckList()
     xb = xibar(1, p)
-    q_p = -kochman_q(p, p - 1, "xi", p)  # Q^p xibar_1
+    zero = SymmetricClass.zero(p, "xi")
+    q_p = -kochman_q(p, p - 1, "xi", p)  # Q^p xibar_1, a single Newton class
 
     lhs = -kochman_q(p * p, p - 1, "xi", p)
-    rhs = xb.pow(p - 1).frobenius() * q_p
-    rep.add("q_p2_top_class", _equal_exact(lhs, rhs), "exact")
+    _identity(rows, "q_p2_top_class", "exact", _equal_exact, [(lhs, xb.pow(p - 1).frobenius() * q_p)])
 
-    ok = all(
-        kochman_q(p * p + i, p - 1, "xi", p).is_zero() for i in range(1, p - 1)
-    )
-    rep.add("q_p2_plus_i_vanishes", ok, "exact")
+    vanishing = ((kochman_q(p * p + i, p - 1, "xi", p), zero) for i in range(1, p - 1))
+    _identity(rows, "q_p2_plus_i_vanishes", "exact", operator.eq, vanishing)
 
     lhs = -kochman_q(p * p + p - 1, p - 1, "xi", p)
-    rhs = -(q_p.frobenius())
-    rep.add("q_p2_plus_p_minus_1", _equal_exact(lhs, rhs), "exact")
+    _identity(rows, "q_p2_plus_p_minus_1", "exact", _equal_exact, [(lhs, -(q_p.frobenius()))])
 
     lhs = q_on_product(p * p - p + 1, [(p - 1, p - 1)], "xi", p)  # on N_(p-1)^(p-1) = xibar^(p-1)
-    rhs = xb.pow(p * p)
-    rep.add("q_on_power_top", _equal_exact(lhs, rhs), "exact")
+    _identity(rows, "q_on_power_top", "exact", _equal_exact, [(lhs, xb.pow(p * p))])
 
-    ok = True
-    inner = q_p  # = -N_(p^2-1) * (-1) ... a single Newton class
-    for i in range(1, p):
-        img = _apply_q_to_class(p * p + p * i, inner, p)
-        if not _equal_exact(img, SymmetricClass.zero(p, "xi")):
-            ok = False
-    rep.add("q_iterated_vanishes", ok, "exact")
+    images = ((_apply_q_to_class(p * p + p * i, q_p, p), zero) for i in range(1, p))
+    _identity(rows, "q_iterated_vanishes", "exact", _equal_exact, images)
 
     lhs = -kochman_q(2 * p, p - 1, "xi", p)
-    rhs = -(xb.pow(p) * q_p)
-    rep.add("q_2p_lower", _equal_exact(lhs, rhs), "exact")
-    return rep
+    _identity(rows, "q_2p_lower", "exact", _equal_exact, [(lhs, -(xb.pow(p) * q_p))])
+    return rows
 
 
 def _apply_q_to_class(r: int, cls: SymmetricClass, p: int) -> SymmetricClass:
@@ -382,8 +373,8 @@ def _apply_q_to_class(r: int, cls: SymmetricClass, p: int) -> SymmetricClass:
     return SymmetricClass(p, cls.context, poly_sum(parts, p))
 
 
-def verify_mudl(p: int, seed: int = 0) -> PropositionReport:
-    """Six identities for N_(p-1) in the b-generators.
+def verify_mudl(p: int, seed: int = 0) -> CheckList:
+    """The rows of six identities for N_(p-1) in the b-generators.
 
     Scalar-multiple identities (1, 2, 3, 5, 6) are decided by exact
     comparison of canonical Newton monomials (sound: power sums with index
@@ -399,41 +390,33 @@ def verify_mudl(p: int, seed: int = 0) -> PropositionReport:
     would be evaluated, over an F_(p^4) built for it, with failure
     probability below (degree / p^4)^DEFAULT_SAMPLES < 2^-30.
     """
-    rep = PropositionReport(p, "b")
+    rows = CheckList()
     half = (p + 1) // 2  # 1/2 mod p
     n1 = p - 1
     n2 = 2 * (p - 1)
+    zero = SymmetricClass.zero(p, "b")
 
     lhs = kochman_q(p * p, n1, "b", p)
-    rhs = kochman_q(p * p - 1, n2, "b", p) * half
-    rep.add("q_p2_newton", _equal_symbolic(lhs, rhs), "symbolic")
+    _identity(rows, "q_p2_newton", "symbolic", _equal_symbolic, [(lhs, kochman_q(p * p - 1, n2, "b", p) * half)])
 
-    ok = all(kochman_q(p * p + i, n1, "b", p).is_zero() for i in range(1, p - 1))
-    rep.add("q_p2_plus_i_vanishes", ok, "symbolic")
+    vanishing = ((kochman_q(p * p + i, n1, "b", p), zero) for i in range(1, p - 1))
+    _identity(rows, "q_p2_plus_i_vanishes", "symbolic", operator.eq, vanishing)
 
     lhs = kochman_q(p * p + p - 1, n1, "b", p)
     rhs = -(kochman_q(p, n1, "b", p).frobenius())
-    rep.add("q_p2_plus_p_minus_1", _equal_symbolic(lhs, rhs), "symbolic")
+    _identity(rows, "q_p2_plus_p_minus_1", "symbolic", _equal_symbolic, [(lhs, rhs)])
 
     lhs = q_on_product(p * p - p + 1, [(n1, p - 1)], "b", p)
-    rhs = SymmetricClass.newton(p, "b", n1).pow((p - 2) * p) * SymmetricClass.newton(
-        p, "b", n2
-    ).pow(p)
-    if p == 3:
-        ok4 = _equal_exact(lhs, rhs)
-        method4 = "exact-expansion"
-    else:
-        ok4 = _equal_sampled(lhs, rhs, DEFAULT_SAMPLES, random.Random(seed))
-        method4 = f"sampled({DEFAULT_SAMPLES}, F_{p}^{_EXT_DEGREE})"
-    rep.add("q_on_power_top", ok4, method4)
+    rhs = SymmetricClass.newton(p, "b", n1).pow((p - 2) * p) * SymmetricClass.newton(p, "b", n2).pow(p)
+    route = "exact-expansion" if p == 3 else f"sampled({DEFAULT_SAMPLES}, F_{p}^{_EXT_DEGREE})"
+    rng = random.Random(seed)
+    equal = _equal_exact if p == 3 else (lambda a, b: _equal_sampled(a, b, DEFAULT_SAMPLES, rng))
+    _identity(rows, "q_on_power_top", route, equal, [(lhs, rhs)])
 
     inner = kochman_q(p, n1, "b", p)
-    ok = all(
-        _apply_q_to_class(p * p + p * i, inner, p).is_zero() for i in range(1, p)
-    )
-    rep.add("q_iterated_vanishes", ok, "symbolic")
+    images = ((_apply_q_to_class(p * p + p * i, inner, p), zero) for i in range(1, p))
+    _identity(rows, "q_iterated_vanishes", "symbolic", operator.eq, images)
 
     lhs = kochman_q(2 * p, n1, "b", p)
-    rhs = kochman_q(2 * p - 1, n2, "b", p) * (-half)
-    rep.add("q_2p_lower", _equal_symbolic(lhs, rhs), "symbolic")
-    return rep
+    _identity(rows, "q_2p_lower", "symbolic", _equal_symbolic, [(lhs, kochman_q(2 * p - 1, n2, "b", p) * (-half))])
+    return rows

@@ -142,13 +142,20 @@ def g_series(F: FormalGroupLaw, x_bound: int, alpha_bound: int) -> TruncatedSeri
 
 def _g_by_formal_sums(F: FormalGroupLaw, x_bound: int, alpha_bound: int) -> TruncatedSeries:
     """x * prod_i (x +_F [w^i](alpha)) by generic formal sums: the oracle of
-    `g_series`, valid for any logarithm."""
+    `g_series`, valid for any logarithm.  The factors for w^i and
+    w^(i+(p-1)/2) = -w^i are multiplied first: for the logarithms in scope
+    their product holds only even powers of alpha, fewer terms than either
+    factor, so the running product takes (p-1)/2 sparse operands."""
     vars, bounds = ("x", "alpha"), (x_bound, alpha_bound)
     x = TruncatedSeries.variable(F.p, "x", vars, bounds, F.prec)
+
+    def factor(i: int) -> TruncatedSeries:
+        return F.formal_sum(x, _lift(F.scalar_series(F.omega**i, "alpha", alpha_bound), vars, bounds))
+
+    half = (F.p - 1) // 2
     out = x
-    for i in range(1, F.p):
-        w = F.scalar_series(F.omega**i, "alpha", alpha_bound)
-        out = out * F.formal_sum(x, _lift(w, vars, bounds))
+    for i in range(1, half + 1):
+        out = out * (factor(i) * factor(i + half))
     return out
 
 

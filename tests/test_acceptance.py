@@ -5,11 +5,12 @@ can be audited from the pytest -s output.
 """
 
 import math
+import re
 import time
 
 import pytest
 
-from powerops import reports
+from powerops import arith, dl, mu_homology, reports
 from powerops.dl import (
     op_definedness,
     relation_en_threshold,
@@ -18,7 +19,7 @@ from powerops.dl import (
     verify_relation,
 )
 from powerops.fgl import FormalGroupLaw
-from powerops.mu_homology import verify_mudl, verify_stdl
+from powerops.mu_homology import SymmetricClass, verify_mudl, verify_stdl
 from powerops.powerop import (
     f_coefficient,
     h_polynomial,
@@ -125,7 +126,8 @@ def test_criterion_5_grand_relation():
         rep = verify_relation(p)
         elapsed = time.perf_counter() - t0
         assert rep.residual.is_zero(), rep.residual.monomials()
-        assert all(rep.identities.values())
+        identities = [c for c in rep.checks if c.name.startswith("identity_")]
+        assert len(identities) == 5 and all(c.status == "pass" for c in identities)
         if p == 5:
             assert elapsed < 300.0
     _report("criterion-5 (relation residual 0 and five identities; p=3,5)")
@@ -142,10 +144,11 @@ def test_criterion_6_sigma_solve_and_factorization():
 def test_criterion_7_stdl_mudl():
     for p in (3, 5, 7):
         s = verify_stdl(p)
-        assert s.passed, [c.name for c in s.checks if not c.passed]
+        assert [c.name for c in s.checks if c.status == "fail"] == []
         m = verify_mudl(p, seed=0)
-        assert m.passed, [c.name for c in m.checks if not c.passed]
-        methods = {c.name: c.method for c in m.checks}
+        assert [c.name for c in m.checks if c.status == "fail"] == []
+        # a passing row's actual is the route that decided it
+        methods = {c.name: c.actual for c in m.checks}
         if p == 3:
             assert methods["q_on_power_top"] == "exact-expansion"
         else:
@@ -200,3 +203,59 @@ def test_criterion_10_definedness_threshold():
         assert sum(n.startswith("identity_") for n in by_name) == 5
         assert all(c.status == "pass" for c in rep.checks)
     _report("criterion-10 (E_n threshold 2(p^2+2) reported; p=3,5,7)")
+
+
+def test_property_suite_past_the_newton_index_cap():
+    # 42 // (p - 1) is 0 from p = 47 on, and newton_frobenius takes m = 1
+    rep = reports.run_suite("properties", 47)
+    assert [c.name for c in rep.checks if c.status == "fail"] == []
+    assert {c.name: c.actual for c in rep.checks}["newton_frobenius"] == "m=1"
+
+
+# one whole monomial as `residual_text` renders it: Newton classes, and
+# products of admissible words on x and y
+NEWTON_MONOMIAL = r"N_\d+(\^\d+)?(\*N_\d+(\^\d+)?)*"
+DL_FACTOR = r"([xy]|\((Q\^\d+ )+[xy]\)|\((Q\^\d+ )*[xy]\)\^\d+)"
+DL_MONOMIAL = rf"{DL_FACTOR}( \* {DL_FACTOR})*"
+
+
+def test_failed_identities_show_their_residual(monkeypatch):
+    # two one-line mutants at p = 3: Q^r N_m with its sign fixed at +1 breaks
+    # stdl and mudl identities, and a Cartan formula that drops the Frobenius
+    # twist breaks relation identities.  Each failed identity's actual is
+    # its route and its residual lhs - rhs: the term count and the first
+    # terms, each whole
+    p = 3
+    routes = {
+        (suite, c.name): c.actual for suite, rows in (("stdl", verify_stdl(p)), ("mudl", verify_mudl(p)))
+        for c in rows.checks
+    }
+
+    def unsigned_kochman_q(r, m, context, p):
+        c = arith.binom_mod(r - 1, m - 1, p)
+        return SymmetricClass.newton(p, context, m + r * (p - 1), c) if c else SymmetricClass.zero(p, context)
+
+    monkeypatch.setattr(mu_homology, "kochman_q", unsigned_kochman_q)
+    monkeypatch.setattr(arith, "frobenius", lambda a, q: a)
+    dl.free_algebra.cache_clear()
+    try:
+        failed = {
+            name: [c for c in rows.checks if c.status == "fail"]
+            for name, rows in (("stdl", verify_stdl(p)), ("mudl", verify_mudl(p)), ("relation", verify_relation(p)))
+        }
+    finally:
+        monkeypatch.undo()
+        dl.free_algebra.cache_clear()
+    for suite, rows in failed.items():
+        identities = [c for c in rows if c.name != "grand_relation"]
+        assert identities, suite
+        for c in identities:
+            assert "fails" not in c.actual
+            route, sep, witness = c.actual.partition(": residual ")
+            assert sep, c.actual
+            assert route == ("exact" if suite == "relation" else routes[suite, c.name])
+            count, sep, terms = witness.partition(" term(s): ")
+            terms = terms.split("; ")
+            assert sep and len(terms) == min(int(count), 4), c.actual
+            monomial = DL_MONOMIAL if suite == "relation" else NEWTON_MONOMIAL
+            assert all(re.fullmatch(monomial, t) for t in terms), c.actual

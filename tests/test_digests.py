@@ -24,8 +24,9 @@ objects, at p = 3, 5, 7, 11 and 13:
 and every pipeline stage at p = 7, 11 and 13 for i in {2, p} and K = 2, 8
 and 12, each coefficient as the valuation, unit and precision of both of
 its parts.  The captured sides are read by wrapping `DLAlgebra.sum` and the
-identity comparators for one call each, so nothing here restates the
-factorization or the identity suites.
+identity comparators for one call each, and the rows the stdl and mudl
+verifiers add (`arith.CheckList.add`) name the sides, so nothing here
+restates the factorization or the identity suites.
 
 The file is written by running this module as a script,
 
@@ -42,6 +43,7 @@ import json
 from pathlib import Path
 
 from powerops import dl, mu_homology
+from powerops.arith import CheckList
 from powerops.dl import RelationSpec, solve_sigma, verify_factorization
 from powerops.fgl import FormalGroupLaw
 from powerops.powerop import power_operation_value
@@ -86,7 +88,7 @@ def _identity_sides(verify, p):
     sides, pending = {}, []
     names = ("_equal_exact", "_equal_symbolic", "_equal_sampled")
     originals = {n: getattr(mu_homology, n) for n in names}
-    add = mu_homology.PropositionReport.add
+    add = CheckList.add
 
     def comparing(name):
         def compare(a, b, *rest):
@@ -95,20 +97,20 @@ def _identity_sides(verify, p):
 
         return compare
 
-    def adding(self, name, passed, method):
+    def adding(self, name, *row):
         sides[name] = list(pending)
         pending.clear()
-        return add(self, name, passed, method)
+        return add(self, name, *row)
 
     for n in names:
         setattr(mu_homology, n, comparing(n))
-    mu_homology.PropositionReport.add = adding
+    CheckList.add = adding
     try:
         verify(p)
     finally:
         for n in names:
             setattr(mu_homology, n, originals[n])
-        mu_homology.PropositionReport.add = add
+        CheckList.add = add
     return sides
 
 

@@ -212,3 +212,36 @@ def test_copying_init_check_sees_a_hand_written_record():
 def test_no_constructor_only_copies_its_parameters():
     found = {(name, cls) for name, source in SOURCES.items() for cls in _copying_inits(source)}
     assert found == COPYING_INIT_ALLOWED
+
+
+def _named_records(source):
+    """The classes that subclass `Record` and have a ``name`` slot."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if not any(getattr(b, "id", getattr(b, "attr", None)) == "Record" for b in cls.bases):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in stmt.targets):
+                if "name" in ast.literal_eval(stmt.value):
+                    found.append(cls.name)
+    return found
+
+
+def test_named_record_check_sees_a_second_row_shape():
+    source = (
+        "class IdentityCheck(Record):\n"
+        "    __slots__ = ('name', 'passed', 'method', 'elapsed_ms')\n\n"
+        "class Trace(arith.Record):\n"
+        "    __slots__ = ('p', 'names')\n"
+    )
+    assert _named_records(source) == ["IdentityCheck"]
+
+
+def test_check_is_the_one_report_row():
+    # a report row has one shape, `arith.Check`, which every verifier adds
+    # through `CheckList.add`; a second record with a name slot would be a
+    # second row shape that something must copy into a Check
+    found = {(name, cls) for name, source in SOURCES.items() for cls in _named_records(source)}
+    assert found == {("arith", "Check")}

@@ -97,11 +97,13 @@ def test_formal_sums_oracle_from_its_least_precision(p, least):
 
 
 def test_formal_sums_oracle_coefficient_product_budget(monkeypatch):
-    # the g oracle at p = 5 makes 291 coefficient products: a power of one
+    # the g oracle at p = 5 makes 248 coefficient products: a power of one
     # or two terms takes one product per base to fix its precision and one
-    # per binomial index j > 0, and each coefficient power is a closed form
-    # in p-adic scalars.  Squaring each base once for all j made 527, and a
-    # binary_power ladder per j made 1 035.
+    # per binomial index j > 0, each coefficient power is a closed form in
+    # p-adic scalars, and the factors for w^i and -w^i are multiplied first,
+    # so the running product takes two operands even in alpha.  Multiplying
+    # the factors in the order i = 1..p-1 made 291, squaring each base once
+    # for all j 527, and a binary_power ladder per j 1 035.
     p = 5
     bounds = (2 * p + 1, p**3 + p)
     F = FormalGroupLaw.v3_truncated(p, K)
@@ -114,7 +116,7 @@ def test_formal_sums_oracle_coefficient_product_budget(monkeypatch):
 
     monkeypatch.setattr(CoeffV3, "__mul__", counting_mul)
     oracle = _g_by_formal_sums(F, *bounds)
-    assert calls[0] == 291
+    assert calls[0] == 248
     monkeypatch.undo()
     assert oracle == g_series(F, *bounds)
 

@@ -5,8 +5,8 @@ its default is a new one per instance."""
 
 import pytest
 
-from powerops import dl, mu_homology, powerop, reports
-from powerops.arith import Record
+from powerops import dl, powerop, reports
+from powerops.arith import Check, CheckList, Record
 from powerops.fgl import FormalGroupLaw, Logarithm
 from powerops.mu_homology import SymmetricClass
 from powerops.scalar import CoeffV3, PAdicScalar, primitive_teichmuller_root
@@ -127,7 +127,7 @@ def test_value_equality_compares_every_field(cls, args, changed):
 
 def test_record_defaults_are_fresh_per_instance():
     made = [
-        (lambda: mu_homology.PropositionReport(P, "b"), "checks", []),
+        (CheckList, "checks", []),
         (lambda: reports.SuiteReport("stdl", P), "checks", []),
     ]
     for make, name, want in made:
@@ -138,8 +138,7 @@ def test_record_defaults_are_fresh_per_instance():
 
 
 RECORDS = [
-    reports.Check,
-    mu_homology.IdentityCheck,
+    Check,
     dl.RelationReport,
     dl.SigmaSolution,
     dl.FactorizationReport,
